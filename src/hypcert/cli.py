@@ -384,13 +384,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may start with "-".  argparse takes a token such as
+# "-2,1" or "-1/2" for an unknown flag, so it is attached as "--opt=value".
+_SIGNED_VALUE_OPTIONS = frozenset({"--upper", "--lower", "--num", "--den", "--z", "--t0"})
+
+
+def _attach_signed_values(argv: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     """Parse argv, dispatch, and emit one document; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         # argparse already printed usage/version to the right stream
         return int(exc.code or 0)

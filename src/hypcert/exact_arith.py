@@ -18,7 +18,7 @@ from fractions import Fraction
 
 Rational = Fraction
 
-__all__ = ["Rational", "factorial", "binomial", "pochhammer", "as_rational", "is_nonpositive_integer"]
+__all__ = ["Rational", "factorial", "binomial", "pochhammer", "is_nonpositive_integer"]
 
 
 def factorial(n: int) -> int:
@@ -42,10 +42,10 @@ def binomial(n: int, k: int) -> int:
 
 
 def pochhammer(x: Rational | int, n: int) -> Rational:
-    """Rising factorial x(x+1)...(x+n-1); equals 1 for n = 0."""
+    """Rising factorial x(x+1)...(x+n-1) of an int or Fraction x; equals 1
+    for n = 0."""
     if n < 0:
         raise ValueError(f"pochhammer shift must be nonnegative, got {n}")
-    x = Fraction(x)
     # (p/q + j) = (p + j*q)/q: one integer product plus a constant power of q.
     p, q = x.numerator, x.denominator
     num = 1
@@ -54,12 +54,7 @@ def pochhammer(x: Rational | int, n: int) -> Rational:
     return Fraction(num, q**n)
 
 
-def as_rational(value: Rational | int | str) -> Rational:
-    """Coerce an int, Fraction, or "p/q" string to a canonical Rational."""
-    return Fraction(value)
-
-
 def is_nonpositive_integer(x: Rational | int) -> bool:
-    """True when x is an integer <= 0 (the series termination/pole test)."""
-    x = Fraction(x)
+    """True when the int or Fraction x is an integer <= 0 (the series
+    termination/pole test)."""
     return x.denominator == 1 and x.numerator <= 0

@@ -42,8 +42,12 @@ __all__ = [
 DEFAULT_MAX_TERMS = 100_000
 
 
+def _as_fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _as_param_tuple(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(_as_fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class HypSeries:
     def __init__(self, upper: Iterable, lower: Iterable, z) -> None:
         object.__setattr__(self, "upper", _as_param_tuple(upper))
         object.__setattr__(self, "lower", _as_param_tuple(lower))
-        object.__setattr__(self, "z", Fraction(z))
+        object.__setattr__(self, "z", _as_fraction(z))
 
     def canonical(self) -> "HypSeries":
         return HypSeries(sorted(self.upper), sorted(self.lower), self.z)
@@ -166,9 +170,14 @@ def _ratio_factors(s: HypSeries) -> tuple[list[tuple[int, int]], list[tuple[int,
 def eval_exact(s: HypSeries) -> Rational:
     """Exact rational sum of a terminating series.
 
-    The terms are accumulated as one integer numerator over the running
-    product of the (integer-cleared) ratio denominators, with a single
-    gcd reduction at the end; no floating point and no per-term reduction.
+    With t_{n+1}/t_n = P(n)/Q(n) the sum is taken in nested (Horner) form
+    from the last term back,
+
+        1 + P(0)/Q(0) * (1 + P(1)/Q(1) * (... (1 + P(N-1)/Q(N-1)))),
+
+    carrying the inner value as one integer fraction A/D: D <- Q(n) D,
+    A <- D + P(n) A.  Two wide-by-small multiplies per term, a single gcd
+    reduction at the end, no floating point.
     """
     cls = classify(s)
     if cls.kind is SeriesKind.ILL_POSED:
@@ -180,21 +189,20 @@ def eval_exact(s: HypSeries) -> Rational:
     # t_{n+1}/t_n = P(n)/Q(n) with
     #   P(n) = prod(p_i + n q_i) * prod(s_j) * z_num
     #   Q(n) = prod(r_j + n s_j) * prod(q_i) * z_den * (n + 1)
+    # Q(n) != 0 for n < N: a lower pole below N makes the series ill-posed.
     p_const = math.prod(q for _, q in lo) * z_num
     q_const = math.prod(q for _, q in up) * z_den
-    term_num = 1
     acc_num = 1
     acc_den = 1
-    for n in range(n_terms):
+    for n in range(n_terms - 1, -1, -1):
         p_n = p_const
         for num, den in up:
             p_n *= num + n * den
         q_n = q_const * (n + 1)
         for num, den in lo:
             q_n *= num + n * den
-        term_num *= p_n
-        acc_num = acc_num * q_n + term_num
         acc_den *= q_n
+        acc_num = acc_den + p_n * acc_num
     return Fraction(acc_num, acc_den)
 
 

@@ -16,12 +16,12 @@ Every pathway must produce exactly 1; a report records all three values.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationError
-from .exact_arith import Rational, binomial, factorial
+from .exact_arith import Rational, binomial
 from .hyper_series import HypSeries, PrefactoredSeries, eval_exact
 from .term_recognize import IntPolynomial, TermRatio
 from .whipple import match_whipple, rhs_exact_terminating
@@ -66,37 +66,47 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"the identity requires k >= m, got k = {k}, m = {m}")
 
 
-def lhs_term(k: int, m: int, n: int) -> Rational:
-    """Term n of the binomial sum, for k >= m >= n >= 0."""
-    _check_km(k, m)
-    if n < 0 or n > m:
-        raise ValueError(f"term index must satisfy 0 <= n <= m, got n = {n}, m = {m}")
+def _term(k: int, m: int, n: int) -> Rational:
     num = binomial(m, n) * binomial(k + n, m) * (2 * n + k + 1)
     den = binomial(k + m + n, m + n) * (m + n + k + 1)
     return Fraction(num, den)
 
 
+def lhs_term(k: int, m: int, n: int) -> Rational:
+    """Term n of the binomial sum, for k >= m >= n >= 0."""
+    _check_km(k, m)
+    if n < 0 or n > m:
+        raise ValueError(f"term index must satisfy 0 <= n <= m, got n = {n}, m = {m}")
+    return _term(k, m, n)
+
+
 def lhs_sum(k: int, m: int) -> Rational:
     """Exact value of the full binomial sum over n = 0..m.
 
-    The terms are put over the common denominator (k+2m+1)!/k! so the loop
-    is pure integer arithmetic: the two binomials and the weight
-    (m+n)! (k+2m+1)!/(k+m+n+1)! are all carried incrementally (each step is
-    one small multiply and one exact small division of the running value).
-    Equal to sum(lhs_term(k, m, n)) by construction.
+    The terms are put over the common denominator (k+2m+1)!/k!, where term n
+    has the integer numerator T_n (2n+k+1) with
+
+        T_n = C(m,n) C(k+n,m) (m+n)! (k+2m+1)! / (k+m+n+1)!.
+
+    T_n is carried as one integer.  The recurrences of its three factors
+    C(m,n), C(k+n,m) and the weight give
+
+        T_{n+1} = T_n (m-n)(k+n+1)(m+n+1) / ((n+1)(k-m+n+1)(k+m+n+2)),
+
+    so each step multiplies it by one small integer and divides it exactly
+    by another.  The (2n+k+1) factor is applied per term; nothing here
+    uses the term ratio of :func:`sesma_ratio`.  Equal to
+    sum(lhs_term(k, m, n)) by construction.
     """
     _check_km(k, m)
-    weight = factorial(m) * math.prod(range(k + m + 2, k + 2 * m + 2))
-    choose_m_n = 1  # C(m, n)
-    choose_kn_m = math.comb(k, m)  # C(k+n, m)
+    carried = math.perm(k, m) * math.perm(k + 2 * m + 1, m)  # T_0
     total = 0
     for n in range(m + 1):
-        total += choose_m_n * choose_kn_m * (2 * n + k + 1) * weight
-        if n < m:  # the update divisions are exact only below the last index
-            choose_m_n = choose_m_n * (m - n) // (n + 1)
-            choose_kn_m = choose_kn_m * (k + n + 1) // (k + n + 1 - m)
-            weight = weight * (m + n + 1) // (k + m + n + 2)
-    return Fraction(total * factorial(k), factorial(k + 2 * m + 1))
+        total += carried * (2 * n + k + 1)
+        carried = carried * ((m - n) * (k + n + 1) * (m + n + 1)) // (
+            (n + 1) * (k - m + n + 1) * (k + m + n + 2)
+        )
+    return Fraction(total, math.perm(k + 2 * m + 1, 2 * m + 1))
 
 
 def explore_sum(k: int, m: int) -> Rational:
@@ -108,12 +118,7 @@ def explore_sum(k: int, m: int) -> Rational:
     """
     if k < 0 or m < 0:
         raise ValueError(f"k and m must be nonnegative, got k = {k}, m = {m}")
-    total = Fraction(0)
-    for n in range(m + 1):
-        num = binomial(m, n) * binomial(k + n, m) * (2 * n + k + 1)
-        den = binomial(k + m + n, m + n) * (m + n + k + 1)
-        total += Fraction(num, den)
-    return total
+    return sum((_term(k, m, n) for n in range(m + 1)), Fraction(0))
 
 
 def sesma_ratio(k: int, m: int) -> TermRatio:
@@ -137,17 +142,14 @@ def rewrite(k: int, m: int) -> PrefactoredSeries:
     """The binomial sum in hypergeometric normal form: prefactor times
     4F3(k+1, 1+(k+1)/2, -m, m+1; (k+1)/2, k+m+2, k-m+1; -1).
 
-    The prefactor (k+1)! k! / ((k-m)! (k+m+1)!) equals lhs_term(k, m, 0).
+    The prefactor (k+1)! k! / ((k-m)! (k+m+1)!) = C(k,m) / C(k+m+1,m)
+    equals lhs_term(k, m, 0).
     """
     _check_km(k, m)
-    prefactor = Fraction(
-        factorial(k + 1) * factorial(k),
-        factorial(k - m) * factorial(k + m + 1),
-    )
-    half = Fraction(k + 1, 2)
+    prefactor = Fraction(math.comb(k, m), math.comb(k + m + 1, m))
     series = HypSeries(
-        upper=(Fraction(k + 1), 1 + half, Fraction(-m), Fraction(m + 1)),
-        lower=(half, Fraction(k + m + 2), Fraction(k - m + 1)),
+        upper=(Fraction(k + 1), Fraction(k + 3, 2), Fraction(-m), Fraction(m + 1)),
+        lower=(Fraction(k + 1, 2), Fraction(k + m + 2), Fraction(k - m + 1)),
         z=Fraction(-1),
     )
     return PrefactoredSeries(prefactor=prefactor, series=series)
@@ -178,8 +180,7 @@ def verify(k: int, m: int) -> IdentityReport:
         match = match_whipple(prefactored.series)
         if match is None:
             raise ValueError("series did not match the Whipple shape")
-        expected = (Fraction(k + 1), Fraction(-m), Fraction(m + 1))
-        if (match.a, match.b, match.c) != expected:
+        if (match.a, match.b, match.c) != (k + 1, -m, m + 1):
             raise ValueError(
                 f"matched ({match.a}, {match.b}, {match.c}), "
                 f"expected (a, b, c) = ({k + 1}, {-m}, {m + 1})"
@@ -208,14 +209,21 @@ def _verify_pair(pair: tuple[int, int]) -> IdentityReport:
 def sweep(k_max: int, jobs: int = 1) -> list[IdentityReport]:
     """verify(k, m) for every 0 <= m <= k <= k_max, in lexicographic order.
 
-    With jobs > 1 the reports are computed in worker processes; the output
-    order (and hence any serialized form) is identical for every job count.
+    With jobs > 1 the reports are computed in worker processes, at most one
+    per CPU and per pair; the output order (and hence any serialized form)
+    is identical for every job count.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     pairs = [(k, m) for k in range(k_max + 1) for m in range(k + 1)]
+    # a fork pool starts all max_workers at once, so never ask for more
+    # workers than there are CPUs or pairs
+    jobs = min(jobs, os.cpu_count() or 1, len(pairs))
     if jobs <= 1:
         return [verify(k, m) for k, m in pairs]
+    # imported here: the pool machinery is a third of the CLI's start-up time
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(pairs) // (jobs * 16))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_verify_pair, pairs, chunksize=chunk))

@@ -13,7 +13,6 @@ log-gamma.  Anything else is refused rather than analytically continued.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,38 +33,44 @@ class WhippleMatch:
     c: Fraction
 
 
+def _plus_one_minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a - b + 1 for reduced (numerator, denominator) pairs, reduced."""
+    (p, q), (r, t) = a, b
+    num, den = p * t - r * q + q * t, q * t
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def match_whipple(s: HypSeries) -> Optional[WhippleMatch]:
     """Try to present the series as 4F3(a, 1+a/2, b, c; a/2, a-b+1, a-c+1; -1).
 
-    Every upper parameter is tried as the candidate a; the companion 1+a/2
-    must also sit in the upper list and a/2 in the lower list (multiset
-    removal, so repeated values are honored).  Among multiple valid
-    decompositions the one with the largest a, then the smallest b, wins;
-    the closed-form value itself does not depend on the choice.
+    Parameters are compared as reduced (numerator, denominator) int pairs,
+    so every multiset test is tuple equality.  Every upper parameter is
+    tried as the candidate a, largest first; the companion 1+a/2 must also
+    sit in the upper list and a/2 in the lower list (multiset removal, so
+    repeated values are honored).  For a fixed a the two remaining upper
+    parameters are b <= c, so the first full match is the one with the
+    largest a, then the smallest b; the closed-form value itself does not
+    depend on the choice.
     """
     if len(s.upper) != 4 or len(s.lower) != 3 or s.z != -1:
         return None
-    matches: list[tuple[Fraction, Fraction, Fraction]] = []
-    upper_counts = Counter(s.upper)
-    lower_counts = Counter(s.lower)
-    for a in sorted(upper_counts, reverse=True):
-        rest_upper = upper_counts.copy()
-        rest_upper[a] -= 1
-        companion = 1 + a / 2
-        if rest_upper[companion] < 1:
+    upper = sorted(s.upper, reverse=True)
+    pairs = [(x.numerator, x.denominator) for x in upper]
+    lower = [(x.numerator, x.denominator) for x in s.lower]
+    for i, (p, q) in enumerate(pairs):
+        half = (p // 2, q) if p % 2 == 0 else (p, 2 * q)
+        companion = (half[0] + half[1], half[1])
+        rest = pairs[:i] + pairs[i + 1 :]
+        if half not in lower or companion not in rest:
             continue
-        rest_upper[companion] -= 1
-        rest_lower = lower_counts.copy()
-        if rest_lower[a / 2] < 1:
-            continue
-        rest_lower[a / 2] -= 1
-        b, c = sorted((+rest_upper).elements())
-        if Counter([a - b + 1, a - c + 1]) == +rest_lower:
-            matches.append((a, b, c))
-    if not matches:
-        return None
-    a, b, c = max(matches, key=lambda t: (t[0], -t[1]))
-    return WhippleMatch(a, b, c)
+        rest.remove(companion)
+        c, b = rest  # still in descending order
+        rest_lower = list(lower)
+        rest_lower.remove(half)
+        if sorted([_plus_one_minus(pairs[i], b), _plus_one_minus(pairs[i], c)]) == sorted(rest_lower):
+            return WhippleMatch(upper[i], Fraction(*b), Fraction(*c))
+    return None
 
 
 def rhs_exact_terminating(m: WhippleMatch) -> Rational:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -196,10 +197,50 @@ class TestSweepCommand:
         _, second, _ = invoke(["sweep", "--max-k", "6", "--format", "json"])
         assert first == second
 
+    def test_golden_bytes(self):
+        code, out, _ = invoke(["sweep", "--max-k", "50", "--format", "json"])
+        assert code == 0
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "eb3a882a2079825ab0abfdf6765593e96ae72480a8bcaa9221075edfcac26a80"
+
     def test_jobs_do_not_change_bytes(self):
         _, serial, _ = invoke(["sweep", "--max-k", "6", "--format", "json"])
         _, parallel, _ = invoke(["sweep", "--max-k", "6", "--format", "json", "--jobs", "2"])
         assert serial == parallel
+
+
+class TestSignedListValues:
+    """A list value that starts with "-" is accepted after a space, the same
+    as after "="."""
+
+    def assert_same_as_attached(self, argv, option):
+        i = argv.index(option)
+        attached = argv[:i] + [f"{option}={argv[i + 1]}"] + argv[i + 2:]
+        assert invoke(argv) == invoke(attached)
+
+    def test_eval(self):
+        argv = ["eval", "--upper", "-2,1", "--lower", "3", "--z", "-1/2", "--format", "json"]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        assert json.loads(out)["results"][0]["value"] == "11/8"
+        self.assert_same_as_attached(argv, "--upper")
+
+    def test_whipple(self):
+        argv = ["whipple", "--upper", "-1,2,3,5/2", "--lower", "3/2,5,2", "--z", "-1", "--format", "json"]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert (result["a"], result["b"], result["c"], result["exact"]) == ("3", "-1", "2", "2")
+        self.assert_same_as_attached(argv, "--upper")
+
+    def test_recognize(self):
+        argv = ["recognize", "--num", "-1,1", "--den", "1,1", "--t0", "-5/7", "--format", "json"]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert (result["prefactor"], result["upper"], result["lower"]) == ("-5/7", ["-1"], [])
+        self.assert_same_as_attached(argv, "--num")
+        self.assert_same_as_attached(argv, "--t0")
 
 
 class TestUsageErrors:

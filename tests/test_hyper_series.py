@@ -151,6 +151,41 @@ class TestEvalExact:
         assert eval_exact(HypSeries(shuffled_upper, shuffled_lower, s.z)) == eval_exact(s)
 
 
+@st.composite
+def series_with_poles(draw):
+    """Terminating upper lists with lower lists that may hold nonpositive
+    integers: a pole before, at or past the termination index."""
+    small = st.fractions(min_value=-12, max_value=12, max_denominator=4)
+    upper = [Fraction(-draw(st.integers(0, 10)))] + draw(st.lists(small, max_size=3))
+    lower = draw(st.lists(st.one_of(st.integers(-14, 0).map(Fraction), small), max_size=3))
+    z = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return HypSeries(upper, lower, z)
+
+
+class TestEvalExactAgainstTermwiseSum:
+    @pytest.mark.parametrize(
+        "upper,lower",
+        [
+            ([-3, 2], [-3]),  # pole at the termination index
+            ([-3, 2], [-5]),  # pole past it
+            ([-4, Fraction(1, 2), -6], [-4, -9, Fraction(7, 3)]),
+        ],
+    )
+    def test_harmless_poles(self, upper, lower):
+        s = series(upper, lower, Fraction(-2, 3))
+        assert eval_exact(s) == termwise_oracle(s, classify(s).index)
+
+    @given(series_with_poles())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_termwise_sum_or_raises(self, s):
+        cls = classify(s)
+        if cls.kind is SeriesKind.ILL_POSED:
+            with pytest.raises(PoleEncountered):
+                eval_exact(s)
+        else:
+            assert eval_exact(s) == termwise_oracle(s, cls.index)
+
+
 class TestEvalNumeric:
     def test_terminating_matches_exact(self):
         s = series([3, Fraction(5, 2), -1, 2], [Fraction(3, 2), 5, 2], -1)

@@ -1,9 +1,11 @@
+import concurrent.futures
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hypcert import sesma_identity
 from hypcert.errors import VerificationError
 from hypcert.exact_arith import binomial, factorial, pochhammer
 from hypcert.hyper_series import eval_exact, normalize
@@ -19,6 +21,12 @@ from hypcert.sesma_identity import (
 )
 from hypcert.term_recognize import recognize, term_at
 from hypcert.whipple import match_whipple
+
+# pairs across the triangle up to (300, 300): both edges, the middle, the top row
+SPOT_PAIRS = [
+    (0, 0), (1, 1), (80, 37), (120, 120), (151, 150), (200, 3),
+    (300, 0), (300, 1), (300, 150), (300, 299), (300, 300),
+]
 
 
 class TestLhsTerm:
@@ -58,7 +66,7 @@ class TestLhsSum:
                 assert lhs_sum(k, m) == naive == 1
 
     def test_larger_spot_checks(self):
-        for k, m in [(80, 37), (120, 120), (200, 3)]:
+        for k, m in SPOT_PAIRS:
             naive = sum(lhs_term(k, m, n) for n in range(m + 1))
             assert lhs_sum(k, m) == naive == 1
 
@@ -140,9 +148,9 @@ class TestRewrite:
         assert eval_exact(got.series) == 1
 
     def test_prefactor_is_initial_term(self):
-        for k in range(16):
-            for m in range(k + 1):
-                assert rewrite(k, m).prefactor == lhs_term(k, m, 0)
+        pairs = [(k, m) for k in range(16) for m in range(k + 1)] + SPOT_PAIRS
+        for k, m in pairs:
+            assert rewrite(k, m).prefactor == lhs_term(k, m, 0)
 
 
 class TestDerivationChain:
@@ -254,6 +262,34 @@ class TestSweep:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sweep(-1)
+
+    def test_jobs_clamped_to_cpus_and_pairs(self, monkeypatch):
+        # the pool is replaced before any large job count is requested,
+        # so this test starts no process
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 4)
+        serial = sweep(3)
+        assert sweep(3, jobs=10**6) == serial
+        assert sweep(1, jobs=10**6) == sweep(1)
+        assert requested == [4, 3]
+        monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: None)
+        assert sweep(3, jobs=8) == serial
+        assert requested == [4, 3]
 
 
 class TestVerificationError:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,85 @@ class TestMatchWhipple:
             assert got is not None
             # the decomposition may legitimately differ; its value may not
             assert rhs_exact_terminating(got) == rhs_exact_terminating(m)
+
+
+def reference_match_whipple(s: HypSeries):
+    """The Counter-of-Fraction matcher that match_whipple replaced, kept as
+    an independent reference: collect every decomposition, then take the
+    largest a, then the smallest b."""
+    if len(s.upper) != 4 or len(s.lower) != 3 or s.z != -1:
+        return None
+    matches = []
+    upper_counts = Counter(s.upper)
+    lower_counts = Counter(s.lower)
+    for a in sorted(upper_counts, reverse=True):
+        rest_upper = upper_counts.copy()
+        rest_upper[a] -= 1
+        companion = 1 + a / 2
+        if rest_upper[companion] < 1:
+            continue
+        rest_upper[companion] -= 1
+        rest_lower = lower_counts.copy()
+        if rest_lower[a / 2] < 1:
+            continue
+        rest_lower[a / 2] -= 1
+        b, c = sorted((+rest_upper).elements())
+        if Counter([a - b + 1, a - c + 1]) == +rest_lower:
+            matches.append((a, b, c))
+    if not matches:
+        return None
+    return WhippleMatch(*max(matches, key=lambda t: (t[0], -t[1])))
+
+
+# a small pool, so that duplicates and companion collisions are common
+_POOL = st.sampled_from(sorted({Fraction(n, d) for n in range(-6, 9) for d in (1, 2, 4)}))
+
+
+@st.composite
+def four_f_three_lists(draw):
+    """Whipple shapes, shapes with one parameter changed, shapes whose b, c
+    form a second candidate pair (a', 1+a'/2), and free lists of any
+    length near 4 and 3, at z = -1 mostly."""
+    a = draw(_POOL)
+    kind = draw(st.sampled_from(["shape", "perturbed", "two_candidates", "free"]))
+    if kind == "free":
+        upper = draw(st.lists(_POOL, min_size=3, max_size=5))
+        lower = draw(st.lists(_POOL, min_size=2, max_size=4))
+    elif kind == "two_candidates":
+        a2 = draw(_POOL)
+        upper = [a, 1 + a / 2, a2, 1 + a2 / 2]
+        lower = [a / 2, a2 / 2, draw(st.sampled_from([a - a2 + 1, a - a2 / 2, a2 - a + 1]))]
+    else:
+        b, c = draw(_POOL), draw(_POOL)
+        upper = [a, 1 + a / 2, b, c]
+        lower = [a / 2, a - b + 1, a - c + 1]
+        if kind == "perturbed":
+            target = draw(st.sampled_from([upper, lower]))
+            target[draw(st.integers(0, len(target) - 1))] = draw(_POOL)
+    upper = draw(st.permutations(upper))
+    lower = draw(st.permutations(lower))
+    z = draw(st.sampled_from([Fraction(-1)] * 4 + [Fraction(1), Fraction(-1, 2)]))
+    return HypSeries(upper, lower, z)
+
+
+class TestMatchWhippleAgainstReference:
+    @given(four_f_three_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_as_counter_matcher(self, s):
+        assert match_whipple(s) == reference_match_whipple(s)
+
+    @pytest.mark.parametrize(
+        "upper,lower",
+        [
+            ([2, 2, -1, 2], [1, 4, 1]),  # a = 2 is its own companion
+            ([2, 2, 2, 2], [1, 1, 1]),  # every parameter is a candidate
+            ([6, 4, 4, 3], [3, 2, 4]),  # a' = 4 passes the companion test too
+            ([Fraction(-3, 2), Fraction(1, 4), -1, 2], [Fraction(-3, 4), Fraction(3, 2), Fraction(-3, 2)]),
+        ],
+    )
+    def test_collisions(self, upper, lower):
+        s = HypSeries(upper, lower, -1)
+        assert match_whipple(s) == reference_match_whipple(s)
 
 
 class TestRhsExactTerminating:
