@@ -17,6 +17,7 @@ from .errors import (
     PoleEncountered,
     PoleInClosedForm,
     PoleOnPath,
+    TermBudgetExceeded,
     VerificationError,
 )
 from .exact_arith import Rational, binomial, factorial, pochhammer
@@ -63,6 +64,7 @@ __all__ = [
     "PrefactoredSeries",
     "Rational",
     "SeriesKind",
+    "TermBudgetExceeded",
     "TermRatio",
     "VerificationError",
     "WhippleMatch",

@@ -16,9 +16,10 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import __version__
 from .errors import HypergeometricError
@@ -77,13 +78,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _parse_rational_list(text: Optional[str]) -> list[Fraction]:
+def _parse_rational_list(text: str | None) -> list[Fraction]:
     if not text:
         return []
     return [parse_rational(part.strip()) for part in text.split(",")]
 
 
-def _parse_int_list(text: Optional[str]) -> list[int]:
+def _parse_int_list(text: str | None) -> list[int]:
     if not text:
         return []
     out = []
@@ -327,6 +328,9 @@ def _cmd_sweep(args, out) -> int:
     return 0 if all_pass else 1
 
 
+_SIGNED_VALUE = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypcert",
@@ -381,22 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=_cmd_sweep)
 
+    # argparse's private matcher of negative numbers knows only integers and
+    # decimals, so it takes "-2,1" or "-7/2" for an unknown flag; no option
+    # here starts with a digit, so any "-digit..." token is a value
+    for command in sub.choices.values():
+        command._negative_number_matcher = _SIGNED_VALUE
     return parser
-
-
-# Options whose value may start with "-".  argparse takes a token such as
-# "-2,1" or "-1/2" for an unknown flag, so it is attached as "--opt=value".
-_SIGNED_VALUE_OPTIONS = frozenset({"--upper", "--lower", "--num", "--den", "--z", "--t0"})
-
-
-def _attach_signed_values(argv: Sequence[str]) -> list[str]:
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
 
 
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
@@ -405,7 +399,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_signed_values(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage/version to the right stream
         return int(exc.code or 0)
@@ -423,3 +417,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -27,6 +27,10 @@ class NonConvergedWithinBudget(HypergeometricError):
     """Numeric summation did not settle within the configured term budget."""
 
 
+class TermBudgetExceeded(HypergeometricError):
+    """A terminating series or term index needs more steps than the term budget."""
+
+
 class AmbiguousCancellation(HypergeometricError):
     """A shared upper/lower parameter is a nonpositive integer; cancelling it
     would silently change the value of an ill-posed series."""

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .errors import (
     AmbiguousCancellation,
@@ -23,8 +22,10 @@ from .errors import (
     NonConvergedWithinBudget,
     NotTerminating,
     PoleEncountered,
+    TermBudgetExceeded,
 )
 from .exact_arith import Rational, is_nonpositive_integer
+from .record import Record
 
 __all__ = [
     "HypSeries",
@@ -50,14 +51,14 @@ def _as_param_tuple(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(_as_fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class HypSeries:
+class HypSeries(Record):
     """A pFq series: upper parameters, lower parameters, argument z.
 
     Parameter order is preserved as given (evaluation is order-independent);
     :meth:`canonical` sorts each list ascending for display and reports.
     """
 
+    __slots__ = ("upper", "lower", "z")
     upper: tuple[Fraction, ...]
     lower: tuple[Fraction, ...]
     z: Fraction
@@ -76,13 +77,17 @@ class HypSeries:
         return f"{len(self.upper)}F{len(self.lower)}({up}; {lo}; {self.z})"
 
 
-@dataclass(frozen=True)
-class PrefactoredSeries:
+class PrefactoredSeries(Record):
     """A constant prefactor times a pFq series; the prefactor is the
     initial term t_0 of the concrete sum the series was derived from."""
 
+    __slots__ = ("prefactor", "series")
     prefactor: Fraction
     series: HypSeries
+
+    def __init__(self, prefactor: Fraction, series: HypSeries) -> None:
+        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "series", series)
 
 
 class SeriesKind(Enum):
@@ -92,8 +97,7 @@ class SeriesKind(Enum):
     ILL_POSED = "ill_posed"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Outcome of :func:`classify`.
 
     ``index`` is the termination index N for TERMINATING (minimal N with
@@ -102,8 +106,13 @@ class Classification:
     before any termination).
     """
 
+    __slots__ = ("kind", "index")
     kind: SeriesKind
-    index: Optional[int] = None
+    index: int | None
+
+    def __init__(self, kind: SeriesKind, index: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
 
     @property
     def is_terminating(self) -> bool:
@@ -115,7 +124,7 @@ class Classification:
         return f"{self.kind.value}({self.index})"
 
 
-def _min_termination_index(params: tuple[Fraction, ...]) -> Optional[int]:
+def _min_termination_index(params: tuple[Fraction, ...]) -> int | None:
     hits = [-p.numerator for p in params if is_nonpositive_integer(p)]
     return min(hits) if hits else None
 
@@ -167,8 +176,18 @@ def _ratio_factors(s: HypSeries) -> tuple[list[tuple[int, int]], list[tuple[int,
     return up, lo, s.z.numerator, s.z.denominator
 
 
-def eval_exact(s: HypSeries) -> Rational:
+def _check_term_budget(s: HypSeries, n_terms: int, max_terms: int) -> None:
+    if n_terms > max_terms:
+        raise TermBudgetExceeded(
+            f"series {s} terminates after {n_terms} steps, over the budget of {max_terms}"
+        )
+
+
+def eval_exact(s: HypSeries, max_terms: int = DEFAULT_MAX_TERMS) -> Rational:
     """Exact rational sum of a terminating series.
+
+    A series whose termination index N exceeds ``max_terms`` is refused
+    with :class:`TermBudgetExceeded` before any term is computed.
 
     With t_{n+1}/t_n = P(n)/Q(n) the sum is taken in nested (Horner) form
     from the last term back,
@@ -185,6 +204,7 @@ def eval_exact(s: HypSeries) -> Rational:
     if cls.kind is not SeriesKind.TERMINATING:
         raise NotTerminating(f"series {s} is {cls}, exact summation needs termination")
     n_terms = cls.index  # sum runs n = 0..N
+    _check_term_budget(s, n_terms, max_terms)
     up, lo, z_num, z_den = _ratio_factors(s)
     # t_{n+1}/t_n = P(n)/Q(n) with
     #   P(n) = prod(p_i + n q_i) * prod(s_j) * z_num
@@ -209,10 +229,13 @@ def eval_exact(s: HypSeries) -> Rational:
 def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -> float:
     """Floating-point sum with compensated (Kahan) accumulation.
 
-    Terminating series sum their N+1 terms outright.  Nonterminating
-    convergent series stop once three consecutive terms fall below
-    tol * max(1, |partial sum|); a single small term is not trusted because
-    alternating series at z = -1 can have one accidental near-cancellation.
+    Terminating series sum their N+1 terms outright; an N above
+    ``DEFAULT_MAX_TERMS`` is refused with :class:`TermBudgetExceeded`, as
+    :func:`eval_exact` refuses it.  Nonterminating convergent series stop
+    once three consecutive terms fall below tol * max(1, |partial sum|); a
+    single small term is not trusted because alternating series at z = -1
+    can have one accidental near-cancellation.  ``max_terms`` caps only
+    this convergent sum.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -239,6 +262,7 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
 
     if cls.is_terminating:
         assert cls.index is not None
+        _check_term_budget(s, cls.index, DEFAULT_MAX_TERMS)
         for n in range(cls.index + 1):
             add(term)
             if n == cls.index:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationError
 from .exact_arith import Rational, binomial
 from .hyper_series import HypSeries, PrefactoredSeries, eval_exact
+from .record import Record
 from .term_recognize import IntPolynomial, TermRatio
 from .whipple import match_whipple, rhs_exact_terminating
 
@@ -38,14 +38,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Per-(k, m) record of the three evaluation pathways.
 
     ``all_equal_one`` is true exactly when all three values are 1; the
     constructor refuses inconsistent records.
     """
 
+    __slots__ = ("k", "m", "direct", "via_series", "via_whipple", "all_equal_one")
     k: int
     m: int
     direct: Fraction
@@ -53,10 +53,23 @@ class IdentityReport:
     via_whipple: Fraction
     all_equal_one: bool
 
-    def __post_init__(self) -> None:
-        expected = self.direct == self.via_series == self.via_whipple == 1
-        if self.all_equal_one != expected:
+    def __init__(
+        self,
+        k: int,
+        m: int,
+        direct: Fraction,
+        via_series: Fraction,
+        via_whipple: Fraction,
+        all_equal_one: bool,
+    ) -> None:
+        if all_equal_one != (direct == via_series == via_whipple == 1):
             raise ValueError("all_equal_one contradicts the pathway values")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "via_series", via_series)
+        object.__setattr__(self, "via_whipple", via_whipple)
+        object.__setattr__(self, "all_equal_one", all_equal_one)
 
 
 def _check_km(k: int, m: int) -> None:
@@ -172,7 +185,7 @@ def verify(k: int, m: int) -> IdentityReport:
 
     prefactored = rewrite(k, m)
     try:
-        via_series = prefactored.prefactor * eval_exact(prefactored.series)
+        via_series = prefactored.prefactor * eval_exact(prefactored.series, max_terms=m)
     except Exception as exc:  # pragma: no cover - no known failing input
         failures["via_series"] = str(exc)
 

@@ -13,13 +13,13 @@ both sides, which adds the upper parameter 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .errors import NotRationallyFactorable, PoleOnPath
+from .errors import NotRationallyFactorable, PoleOnPath, TermBudgetExceeded
 from .exact_arith import Rational
-from .hyper_series import HypSeries, PrefactoredSeries
+from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries
+from .record import Record
 
 __all__ = [
     "IntPolynomial",
@@ -30,14 +30,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Dense integer polynomial; coefficients[i] is the coefficient of n**i.
 
     The zero polynomial is the empty coefficient tuple; otherwise the
     leading coefficient is nonzero.
     """
 
+    __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: Iterable[int]) -> None:
@@ -227,10 +227,10 @@ def rational_roots(p: IntPolynomial) -> list[tuple[Rational, int]]:
     return sorted(roots)
 
 
-@dataclass(frozen=True)
-class TermRatio:
+class TermRatio(Record):
     """A hypergeometric term: t(n+1)/t(n) = num(n)/den(n), starting at t0."""
 
+    __slots__ = ("num", "den", "t0")
     num: IntPolynomial
     den: IntPolynomial
     t0: Fraction
@@ -244,9 +244,15 @@ class TermRatio:
 
 
 def term_at(r: TermRatio, n: int) -> Rational:
-    """t_n = t0 * prod_{j<n} num(j)/den(j), evaluated exactly."""
+    """t_n = t0 * prod_{j<n} num(j)/den(j), evaluated exactly.
+
+    An index n above ``DEFAULT_MAX_TERMS`` is refused with
+    :class:`TermBudgetExceeded` before any factor is computed.
+    """
     if n < 0:
         raise ValueError(f"term index must be nonnegative, got {n}")
+    if n > DEFAULT_MAX_TERMS:
+        raise TermBudgetExceeded(f"term index {n} is over the budget of {DEFAULT_MAX_TERMS} steps")
     value = r.t0
     for j in range(n):
         q = r.den(j)

@@ -13,24 +13,28 @@ log-gamma.  Anything else is refused rather than analytically continued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import NotTerminating, PoleInClosedForm
 from .exact_arith import Rational, is_nonpositive_integer, pochhammer
 from .hyper_series import HypSeries
+from .record import Record
 
 __all__ = ["WhippleMatch", "match_whipple", "rhs_exact_terminating", "log_gamma", "rhs_numeric"]
 
 
-@dataclass(frozen=True)
-class WhippleMatch:
+class WhippleMatch(Record):
     """Parameters (a, b, c) of a matched Whipple-shaped 4F3 at z = -1."""
 
+    __slots__ = ("a", "b", "c")
     a: Fraction
     b: Fraction
     c: Fraction
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
 def _plus_one_minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -41,7 +45,7 @@ def _plus_one_minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return num // g, den // g
 
 
-def match_whipple(s: HypSeries) -> Optional[WhippleMatch]:
+def match_whipple(s: HypSeries) -> WhippleMatch | None:
     """Try to present the series as 4F3(a, 1+a/2, b, c; a/2, a-b+1, a-c+1; -1).
 
     Parameters are compared as reduced (numerator, denominator) int pairs,

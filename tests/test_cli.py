@@ -242,6 +242,39 @@ class TestSignedListValues:
         self.assert_same_as_attached(argv, "--num")
         self.assert_same_as_attached(argv, "--t0")
 
+    @pytest.mark.parametrize(
+        "argv,full",
+        [
+            (
+                ["eval", "--up", "-2,1", "--lo", "-7/2", "--z", "-1/2"],
+                ["eval", "--upper=-2,1", "--lower=-7/2", "--z=-1/2"],
+            ),
+            (
+                ["whipple", "--upper", "3,5/2,-1,5", "--low", "-1,3/2,5", "--z", "-1"],
+                ["whipple", "--upper=3,5/2,-1,5", "--lower=-1,3/2,5", "--z=-1"],
+            ),
+            (
+                ["recognize", "--nu", "-1,1", "--de", "-2,1", "--t", "-1/2"],
+                ["recognize", "--num=-1,1", "--den=-2,1", "--t0=-1/2"],
+            ),
+        ],
+    )
+    def test_abbreviated_option(self, argv, full):
+        code, out, err = invoke(argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == invoke(full + ["--format", "json"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--frob", "-2,1", "--z", "1"],
+            ["recognize", "--z", "-1", "--num", "1", "--den", "1"],  # --z is not a recognize option
+        ],
+    )
+    def test_unknown_option_with_signed_value_is_usage_error(self, argv):
+        code, out, _ = invoke(argv)
+        assert (code, out) == (2, "")
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

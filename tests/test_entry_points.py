@@ -1,0 +1,70 @@
+"""The package run as a program, in fresh interpreters."""
+
+import io
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hypcert
+from hypcert.cli import run
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hypcert.__file__)))
+TIMEOUT_S = 60
+
+
+def run_module(module, argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        env=env,
+        timeout=TIMEOUT_S,
+    )
+
+
+def run_in_process(argv):
+    out = io.StringIO()
+    code = run(argv, stdout=out, stderr=io.StringIO())
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("module", ["hypcert", "hypcert.cli"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--max-k", "3"],
+        ["sweep", "--max-k", "30", "--format", "json"],
+        ["verify", "5", "3", "--format", "json"],
+    ],
+)
+def test_python_dash_m_matches_run(module, argv):
+    proc = run_module(module, argv)
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
+def test_oversized_exact_sum_exits_one_without_hanging():
+    argv = ["eval", "--upper", "-1000000000", "--z", "1"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 1
+    assert b"over the budget" in proc.stdout
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
+def test_import_closure_leaves_out_unused_stdlib_modules():
+    # -I -S: no site packages and no environment, so only the package and
+    # the stdlib modules it imports end up in sys.modules
+    code = (
+        "import io, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "import hypcert, hypcert.cli\n"
+        "hypcert.cli.run(['verify', '5', '3'], stdout=io.StringIO())\n"
+        "names = ('dataclasses', 'inspect', 'typing', 'hypcert.__main__')\n"
+        "print(' '.join(name for name in names if name in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=TIMEOUT_S
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

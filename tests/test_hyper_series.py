@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypcert import hyper_series
 from hypcert.errors import (
     AmbiguousCancellation,
     DivergentSeries,
     NonConvergedWithinBudget,
     NotTerminating,
     PoleEncountered,
+    TermBudgetExceeded,
 )
 from hypcert.exact_arith import factorial, pochhammer
 from hypcert.hyper_series import (
@@ -184,6 +186,33 @@ class TestEvalExactAgainstTermwiseSum:
                 eval_exact(s)
         else:
             assert eval_exact(s) == termwise_oracle(s, cls.index)
+
+
+class TestTermBudget:
+    S = series([-5, 1], [3], -1)  # terminates at N = 5
+
+    def test_exact_termination_index_up_to_the_budget(self):
+        assert eval_exact(self.S, max_terms=5) == eval_exact(self.S)
+        with pytest.raises(TermBudgetExceeded):
+            eval_exact(self.S, max_terms=4)
+
+    def test_numeric_termination_index_up_to_the_default_budget(self, monkeypatch):
+        expected = float(eval_exact(self.S))
+        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 5)
+        assert eval_numeric(self.S, 1e-12) == pytest.approx(expected)
+        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 4)
+        with pytest.raises(TermBudgetExceeded):
+            eval_numeric(self.S, 1e-12)
+
+    def test_numeric_max_terms_caps_only_the_convergent_sum(self):
+        assert eval_numeric(self.S, 1e-12, max_terms=1) == pytest.approx(float(eval_exact(self.S)))
+
+    def test_huge_termination_index_refused_at_once(self):
+        s = series([-(10**12)], [], 1)
+        with pytest.raises(TermBudgetExceeded):
+            eval_exact(s)
+        with pytest.raises(TermBudgetExceeded):
+            eval_numeric(s, 1e-12)
 
 
 class TestEvalNumeric:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypcert.errors import NotRationallyFactorable, PoleOnPath
+from hypcert import term_recognize
+from hypcert.errors import NotRationallyFactorable, PoleOnPath, TermBudgetExceeded
 from hypcert.exact_arith import factorial, pochhammer
 from hypcert.term_recognize import (
     IntPolynomial,
@@ -100,6 +101,16 @@ class TestTermAt:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             term_at(RATIO_K5, -1)
+
+    def test_index_up_to_the_budget(self, monkeypatch):
+        monkeypatch.setattr(term_recognize, "DEFAULT_MAX_TERMS", 1)
+        assert term_at(RATIO_K5, 1) == Fraction(2, 7)
+        with pytest.raises(TermBudgetExceeded):
+            term_at(RATIO_K5, 2)
+
+    def test_huge_index_refused_at_once(self):
+        with pytest.raises(TermBudgetExceeded):
+            term_at(RATIO_K5, 10**12)
 
 
 def series_term(prefactor: Fraction, s, n: int) -> Fraction:
