@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import HypergeometricError
-from .hyper_series import Classification, HypSeries, classify, eval_exact, eval_numeric
+from .hyper_series import HypSeries, classify, eval_exact, eval_numeric
 from .sesma_identity import IdentityReport, sweep as run_sweep, verify as run_verify
 from .term_recognize import IntPolynomial, TermRatio, recognize
 from .whipple import match_whipple, rhs_exact_terminating, rhs_numeric
@@ -96,30 +96,29 @@ def _parse_int_list(text: str | None) -> list[int]:
     return out
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
-def _classification_fields(cls: Classification) -> dict:
-    return {"kind": cls.kind.value, "index": cls.index}
-
-
-def _series_fields(s: HypSeries) -> dict:
-    canonical = s.canonical()
+def _params(s: HypSeries) -> dict:
     return {
-        "upper": [_rat(a) for a in canonical.upper],
-        "lower": [_rat(b) for b in canonical.lower],
-        "z": _rat(canonical.z),
+        "upper": [str(a) for a in s.upper],
+        "lower": [str(b) for b in s.lower],
+        "z": str(s.z),
     }
+
+
+def _parse_series(args) -> HypSeries:
+    return HypSeries(
+        _parse_rational_list(args.upper),
+        _parse_rational_list(args.lower),
+        parse_rational(args.z),
+    )
 
 
 def _report_fields(report: IdentityReport) -> dict:
     return {
         "k": report.k,
         "m": report.m,
-        "direct": _rat(report.direct),
-        "via_series": _rat(report.via_series),
-        "via_whipple": _rat(report.via_whipple),
+        "direct": str(report.direct),
+        "via_series": str(report.via_series),
+        "via_whipple": str(report.via_whipple),
         "all_equal_one": report.all_equal_one,
     }
 
@@ -173,99 +172,60 @@ def _emit_table(doc: dict, out) -> None:
         out.write(f"{key}: {_csv_cell(value)}\n")
 
 
-def _cmd_eval(args, out) -> int:
-    series = HypSeries(
-        _parse_rational_list(args.upper),
-        _parse_rational_list(args.lower),
-        parse_rational(args.z),
-    )
+# Each _cmd_* returns (exit code, inputs, results, summary); run() builds
+# the document from them.
+
+
+def _cmd_eval(args):
+    series = _parse_series(args)
     cls = classify(series)
-    result: dict = dict(_series_fields(series))
-    result["classification"] = str(cls)
+    inputs = {
+        **_params(series),
+        "numeric": bool(args.numeric),
+        "tol": args.tol if args.numeric else None,
+    }
+    result = {**_params(series.canonical()), "classification": str(cls)}
     status = "ok"
     exit_code = 0
     try:
         if args.numeric:
             result["value"] = eval_numeric(series, args.tol)
         else:
-            result["value"] = _rat(eval_exact(series))
+            result["value"] = str(eval_exact(series))
     except HypergeometricError as exc:
         result["value"] = None
         status = f"error: {exc}"
         exit_code = 1
-    doc = {
-        "command": "eval",
-        "inputs": {
-            "upper": [_rat(a) for a in series.upper],
-            "lower": [_rat(b) for b in series.lower],
-            "z": _rat(series.z),
-            "numeric": bool(args.numeric),
-            "tol": args.tol if args.numeric else None,
-        },
-        "results": [result],
-        "summary": {"classification": _classification_fields(cls), "status": status},
-    }
-    _emit(doc, args.format, out)
-    return exit_code
+    summary = {"classification": {"kind": cls.kind.value, "index": cls.index}, "status": status}
+    return exit_code, inputs, [result], summary
 
 
-def _cmd_recognize(args, out) -> int:
+def _cmd_recognize(args):
     num = IntPolynomial(_parse_int_list(args.num))
     den = IntPolynomial(_parse_int_list(args.den))
     t0 = parse_rational(args.t0)
     inputs = {
         "num": list(num.coefficients),
         "den": list(den.coefficients),
-        "t0": _rat(t0),
+        "t0": str(t0),
     }
     try:
-        ratio = TermRatio(num=num, den=den, t0=t0)
-        recognized = recognize(ratio)
+        recognized = recognize(TermRatio(num=num, den=den, t0=t0))
     except (HypergeometricError, ValueError) as exc:
-        doc = {
-            "command": "recognize",
-            "inputs": inputs,
-            "results": [],
-            "summary": {"status": f"error: {exc}"},
-        }
-        _emit(doc, args.format, out)
-        return 1
-    result = {"prefactor": _rat(recognized.prefactor)}
-    result.update(_series_fields(recognized.series))
-    doc = {
-        "command": "recognize",
-        "inputs": inputs,
-        "results": [result],
-        "summary": {"status": "ok"},
-    }
-    _emit(doc, args.format, out)
-    return 0
+        return 1, inputs, [], {"status": f"error: {exc}"}
+    result = {"prefactor": str(recognized.prefactor), **_params(recognized.series.canonical())}
+    return 0, inputs, [result], {"status": "ok"}
 
 
-def _cmd_whipple(args, out) -> int:
-    series = HypSeries(
-        _parse_rational_list(args.upper),
-        _parse_rational_list(args.lower),
-        parse_rational(args.z),
-    )
-    inputs = {
-        "upper": [_rat(a) for a in series.upper],
-        "lower": [_rat(b) for b in series.lower],
-        "z": _rat(series.z),
-    }
+def _cmd_whipple(args):
+    series = _parse_series(args)
+    inputs = _params(series)
     match = match_whipple(series)
     if match is None:
-        doc = {
-            "command": "whipple",
-            "inputs": inputs,
-            "results": [],
-            "summary": {"status": "no-match"},
-        }
-        _emit(doc, args.format, out)
-        return 1
-    result: dict = {"a": _rat(match.a), "b": _rat(match.b), "c": _rat(match.c)}
+        return 1, inputs, [], {"status": "no-match"}
+    result: dict = {"a": str(match.a), "b": str(match.b), "c": str(match.c)}
     try:
-        result["exact"] = _rat(rhs_exact_terminating(match))
+        result["exact"] = str(rhs_exact_terminating(match))
         result["exact_note"] = None
     except HypergeometricError as exc:
         result["exact"] = None
@@ -276,56 +236,31 @@ def _cmd_whipple(args, out) -> int:
     except ValueError as exc:
         result["numeric"] = None
         result["numeric_note"] = str(exc)
-    doc = {
-        "command": "whipple",
-        "inputs": inputs,
-        "results": [result],
-        "summary": {"status": "matched"},
-    }
-    _emit(doc, args.format, out)
-    return 0
+    return 0, inputs, [result], {"status": "matched"}
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
+    inputs = {"k": args.k, "m": args.m}
     try:
         report = run_verify(args.k, args.m)
     except HypergeometricError as exc:
-        doc = {
-            "command": "verify",
-            "inputs": {"k": args.k, "m": args.m},
-            "results": [],
-            "summary": {"status": f"error: {exc}"},
-        }
-        _emit(doc, args.format, out)
-        return 1
-    doc = {
-        "command": "verify",
-        "inputs": {"k": args.k, "m": args.m},
-        "results": [_report_fields(report)],
-        "summary": {"all_equal_one": report.all_equal_one},
-    }
-    _emit(doc, args.format, out)
-    return 0 if report.all_equal_one else 1
+        return 1, inputs, [], {"status": f"error: {exc}"}
+    summary = {"all_equal_one": report.all_equal_one}
+    return (0 if report.all_equal_one else 1), inputs, [_report_fields(report)], summary
 
 
-def _cmd_sweep(args, out) -> int:
+def _cmd_sweep(args):
     reports = run_sweep(args.max_k, jobs=args.jobs)
     passed = sum(1 for r in reports if r.all_equal_one)
     all_pass = passed == len(reports)
-    # jobs is deliberately not echoed: output bytes must not depend on it
-    doc = {
-        "command": "sweep",
-        "inputs": {"max_k": args.max_k},
-        "results": [_report_fields(r) for r in reports],
-        "summary": {
-            "count": len(reports),
-            "passed": passed,
-            "all_pass": all_pass,
-            "line": f"{passed}/{len(reports)} pass",
-        },
+    summary = {
+        "count": len(reports),
+        "passed": passed,
+        "all_pass": all_pass,
+        "line": f"{passed}/{len(reports)} pass",
     }
-    _emit(doc, args.format, out)
-    return 0 if all_pass else 1
+    # jobs is deliberately not echoed: output bytes must not depend on it
+    return (0 if all_pass else 1), {"max_k": args.max_k}, [_report_fields(r) for r in reports], summary
 
 
 _SIGNED_VALUE = re.compile(r"^-\d")
@@ -404,15 +339,14 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
         # argparse already printed usage/version to the right stream
         return int(exc.code or 0)
     try:
-        return args.func(args, out)
-    except ParseError as exc:
+        exit_code, inputs, results, summary = args.func(args)
+    except ValueError as exc:  # ParseError included
         err.write(f"error: {exc}\n")
         parser.print_usage(err)
         return 2
-    except ValueError as exc:
-        err.write(f"error: {exc}\n")
-        parser.print_usage(err)
-        return 2
+    doc = {"command": args.command, "inputs": inputs, "results": results, "summary": summary}
+    _emit(doc, args.format, out)
+    return exit_code
 
 
 def main() -> None:

@@ -1,18 +1,20 @@
 """Recognize a hypergeometric term, given by its consecutive-term ratio
 t(n+1)/t(n) = P(n)/Q(n), as prefactor * pFq in canonical form.
 
-P and Q are integer-coefficient polynomials.  Recognition reduces P/Q to
-lowest terms, splits both into rational linear factors (rational-root
-theorem with exact deflation), reads upper parameters off the roots of P
-and lower parameters off the roots of Q, and takes z from the leading
-coefficients.  One root of Q at n = -1 plays the role of the n! factor of
-the pFq normal form; if it is missing, an (n+1) factor is installed on
-both sides, which adds the upper parameter 1.
+P and Q are integer-coefficient polynomials.  Recognition splits each of
+them once into its rational roots with multiplicities (rational-root
+theorem with exact integer deflation) and a cofactor without rational
+roots.  Roots shared by P and Q cancel as a multiset difference; the ratio
+is accepted only when the two cofactors are proportional, so that they
+cancel too.  The remaining roots of P give the upper parameters, those of
+Q the lower ones, and z is lead(P)/lead(Q).  One root of Q at n = -1 plays
+the role of the n! factor of the pFq normal form; if it is missing, an
+(n+1) factor is installed on both sides, which adds the upper parameter 1.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -101,63 +103,6 @@ class IntPolynomial(Record):
         return joined.lstrip("+").strip()
 
 
-def _to_fraction_coeffs(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coefficients]
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = num[:]
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _primitive_from_fractions(coeffs: Sequence[Fraction]) -> IntPolynomial:
-    if not any(coeffs):
-        return IntPolynomial(())
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(ints)
-
-
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd with positive leading coefficient (Euclid over Q)."""
-    fa, fb = _to_fraction_coeffs(a), _to_fraction_coeffs(b)
-    while any(fb):
-        _, fa = _poly_divmod(fa, fb)
-        fa, fb = fb, fa
-    if not any(fa):
-        return IntPolynomial(())
-    return _primitive_from_fractions(fa)
-
-
-def poly_div_exact(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
-    """Exact quotient num/den; raises if the division leaves a remainder."""
-    quot, rem = _poly_divmod(_to_fraction_coeffs(num), _to_fraction_coeffs(den))
-    if any(rem):
-        raise ValueError(f"({num}) is not divisible by ({den})")
-    if any(c.denominator != 1 for c in quot):
-        # can only happen when den has nontrivial content relative to num
-        raise ValueError(f"quotient of ({num}) by ({den}) is not integral")
-    return IntPolynomial(int(c) for c in quot)
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     small, large = [], []
@@ -171,60 +116,57 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def rational_roots(p: IntPolynomial) -> list[tuple[Rational, int]]:
-    """All rational roots of p with multiplicities, sorted ascending.
+def _deflate(coeffs: list[int], root: Fraction) -> list[int] | None:
+    """Quotient of coeffs by the primitive factor (d*n - c) of root = c/d,
+    or None when that factor does not divide.
+
+    By Gauss's lemma the quotient of an integer polynomial by a primitive
+    factor is integral, so a step that does not divide by d already rules
+    the root out.
+    """
+    c, d = root.numerator, root.denominator
+    quotient = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry, rem = divmod(coeffs[i] + c * carry, d)
+        if rem:
+            return None
+        quotient[i - 1] = carry
+    return quotient if coeffs[0] + c * carry == 0 else None
+
+
+def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
+    """Rational roots of p with their multiplicities, and the cofactor of p
+    (ascending integer coefficients) that has no rational roots.
 
     Candidates come from the rational-root theorem (divisors of the trailing
     nonzero coefficient over divisors of the leading one, both signs); each
-    confirmed root is removed by exact synthetic division until it no longer
-    divides, so the returned multiplicities are exact and the remaining
-    cofactor has no rational roots.
+    confirmed root is divided out until it no longer divides.
     """
     if p.is_zero:
         raise ValueError("rational_roots of the zero polynomial")
-    coeffs = [Fraction(c) for c in p.coefficients]
-
-    roots: list[tuple[Fraction, int]] = []
-    # roots at zero: trailing zero coefficients
-    zero_mult = 0
-    while coeffs and coeffs[0] == 0:
+    coeffs = list(p.coefficients)
+    roots: Counter = Counter()
+    while coeffs[0] == 0:
         coeffs.pop(0)
-        zero_mult += 1
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if len(coeffs) <= 1:
-        return sorted(roots)
+        roots[Fraction(0)] += 1
+    if len(coeffs) == 1:
+        return roots, coeffs
+    # candidates once, from p without its zero roots: dividing out roots
+    # only shrinks the set
+    candidates = {
+        Fraction(sign * c, l) for c in _divisors(coeffs[0]) for l in _divisors(coeffs[-1]) for sign in (1, -1)
+    }
+    for root in sorted(candidates):
+        while len(coeffs) > 1 and (quotient := _deflate(coeffs, root)) is not None:
+            coeffs = quotient
+            roots[root] += 1
+    return roots, coeffs
 
-    # candidate set from the original (deflations only shrink the root set)
-    const_divs = _divisors(int(coeffs[0]))
-    lead_divs = _divisors(int(coeffs[-1]))
-    candidates = sorted(
-        {sign * Fraction(c, l) for c in const_divs for l in lead_divs for sign in (1, -1)}
-    )
 
-    def value_at(cs: list[Fraction], x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
-    def deflate(cs: list[Fraction], root: Fraction) -> list[Fraction]:
-        # synthetic division by (n - root); exact, remainder known to be 0
-        out = [Fraction(0)] * (len(cs) - 1)
-        carry = Fraction(0)
-        for i in range(len(cs) - 1, 0, -1):
-            carry = cs[i] + carry * root
-            out[i - 1] = carry
-        return out
-
-    for cand in candidates:
-        mult = 0
-        while len(coeffs) > 1 and value_at(coeffs, cand) == 0:
-            coeffs = deflate(coeffs, cand)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    return sorted(roots)
+def rational_roots(p: IntPolynomial) -> list[tuple[Rational, int]]:
+    """All rational roots of p with multiplicities, sorted ascending."""
+    return sorted(_split(p)[0].items())
 
 
 class TermRatio(Record):
@@ -262,65 +204,48 @@ def term_at(r: TermRatio, n: int) -> Rational:
     return value
 
 
-def _termination_index(num_roots: list[tuple[Fraction, int]]) -> int | None:
-    hits = [int(root) for root, _ in num_roots if root.denominator == 1 and root >= 0]
-    return min(hits) if hits else None
-
-
-def _nonneg_integer_roots(p: IntPolynomial) -> list[int]:
-    """Nonnegative integer roots only; works even when p does not split."""
-    coeffs = list(p.coefficients)
-    roots = []
-    if coeffs and coeffs[0] == 0:
-        roots.append(0)
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-    if len(coeffs) > 1:
-        for candidate in _divisors(coeffs[0]):
-            if p(candidate) == 0:
-                roots.append(candidate)
-    return sorted(roots)
+def _proportional(a: list[int], b: list[int]) -> bool:
+    return len(a) == len(b) and all(x * b[-1] == y * a[-1] for x, y in zip(a, b))
 
 
 def recognize(r: TermRatio) -> PrefactoredSeries:
     """Factor the ratio into canonical prefactor * pFq form.
 
-    The ratio is reduced to lowest terms first, so coincidental parameter
-    collisions never survive into the output: it is the ratio, not any
-    particular parameter list, that defines the term.  Parameters are
-    reported sorted ascending.
+    P and Q are split once each into rational roots and a cofactor without
+    rational roots.  Shared roots cancel as a multiset difference, so
+    coincidental parameter collisions never survive into the output: it is
+    the ratio, not any particular parameter list, that defines the term.
+    The ratio is accepted only when the two cofactors are proportional, so
+    that they cancel too.  Parameters are reported sorted ascending.
     """
     if r.num.is_zero:
         raise ValueError("zero ratio numerator: the term dies at n = 0 and has no pFq shape")
-    g = poly_gcd(r.num, r.den)
-    if g.degree > 0:
-        p_red = poly_div_exact(r.num, g)
-        q_red = poly_div_exact(r.den, g)
-    else:
-        p_red, q_red = r.num, r.den
-
-    p_roots = rational_roots(p_red) if p_red.degree > 0 else []
-    q_roots = rational_roots(q_red) if q_red.degree > 0 else []
-    if sum(m for _, m in p_roots) != p_red.degree:
-        raise NotRationallyFactorable(f"numerator {p_red} has an irreducible nonlinear cofactor")
-    if sum(m for _, m in q_roots) != q_red.degree:
-        raise NotRationallyFactorable(f"denominator {q_red} has an irreducible nonlinear cofactor")
+    p_roots, p_rest = _split(r.num)
+    q_roots, q_rest = _split(r.den)
+    if not _proportional(p_rest, q_rest):
+        # name a side that keeps a cofactor, with the shared linear factors divided out
+        side, poly = ("numerator", r.num) if len(p_rest) > 1 else ("denominator", r.den)
+        coeffs = list(poly.coefficients)
+        for root in (p_roots & q_roots).elements():
+            coeffs = _deflate(coeffs, root)
+        raise NotRationallyFactorable(f"{side} {IntPolynomial(coeffs)} has an irreducible nonlinear cofactor")
+    upper_roots, lower_roots = p_roots - q_roots, q_roots - p_roots
 
     # poles on the summation path: the ORIGINAL denominator must not vanish
     # at any integer 0 <= n < termination index (anywhere, if the reduced
     # term never terminates); this also rejects shared integer roots of
     # P and Q, where the given ratio itself is a 0/0 and not a valid term
-    n_term = _termination_index(p_roots)
-    for root in _nonneg_integer_roots(r.den):
-        if n_term is None or root < n_term:
+    n_term = min((int(x) for x in upper_roots if x.denominator == 1 and x >= 0), default=None)
+    for root in sorted(q_roots):
+        if root.denominator == 1 and root >= 0 and (n_term is None or root < n_term):
             raise PoleOnPath(f"denominator vanishes at n = {root}")
 
-    upper = [-root for root, mult in p_roots for _ in range(mult)]
-    lower = [-root for root, mult in q_roots for _ in range(mult)]
+    upper = [-root for root in upper_roots.elements()]
+    lower = [-root for root in lower_roots.elements()]
     if Fraction(1) in lower:
         lower.remove(Fraction(1))  # the n! factor of the normal form
     else:
         upper.append(Fraction(1))  # install (n+1) on both sides
-    z = Fraction(p_red.leading, q_red.leading)
+    z = Fraction(r.num.leading, r.den.leading)
     series = HypSeries(sorted(upper), sorted(lower), z)
     return PrefactoredSeries(prefactor=r.t0, series=series)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotTerminating, PoleInClosedForm
+from .errors import NotTerminating, PoleInClosedForm, TermBudgetExceeded
 from .exact_arith import Rational, is_nonpositive_integer, pochhammer
-from .hyper_series import HypSeries
+from .hyper_series import DEFAULT_MAX_TERMS, HypSeries
 from .record import Record
 
 __all__ = ["WhippleMatch", "match_whipple", "rhs_exact_terminating", "log_gamma", "rhs_numeric"]
@@ -82,7 +82,8 @@ def rhs_exact_terminating(m: WhippleMatch) -> Rational:
 
     With b = -M the Gamma ratio collapses to (a+1)_M / (a-c+1)_M; the right
     side is symmetric in b and c, so a terminating c is swapped into the b
-    slot first.
+    slot first.  A length M above ``DEFAULT_MAX_TERMS`` is refused with
+    :class:`TermBudgetExceeded` before any factor is computed.
     """
     b, c = m.b, m.c
     if not is_nonpositive_integer(b):
@@ -90,6 +91,8 @@ def rhs_exact_terminating(m: WhippleMatch) -> Rational:
             raise NotTerminating(f"neither b = {b} nor c = {c} is a nonpositive integer")
         b, c = c, b
     shift = -int(b)
+    if shift > DEFAULT_MAX_TERMS:
+        raise TermBudgetExceeded(f"closed form needs {shift} Pochhammer steps, over the budget of {DEFAULT_MAX_TERMS}")
     denominator = pochhammer(m.a - c + 1, shift)
     if denominator == 0:
         raise PoleInClosedForm(f"({m.a - c + 1})_{shift} = 0 in the closed form")

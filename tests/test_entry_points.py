@@ -1,6 +1,7 @@
 """The package run as a program, in fresh interpreters."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -49,6 +50,18 @@ def test_oversized_exact_sum_exits_one_without_hanging():
     proc = run_module("hypcert", argv)
     assert proc.returncode == 1
     assert b"over the budget" in proc.stdout
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
+def test_oversized_whipple_closed_form_exits_zero_without_hanging():
+    # b = -10^9: the exact closed form is refused, the numeric one still runs
+    argv = ["whipple", "--upper", "2,2,-1000000000,1/2", "--lower", "1,1000000003,5/2", "--z", "-1", "--format", "json"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["results"][0]
+    assert result["exact"] is None
+    assert "over the budget" in result["exact_note"]
+    assert result["numeric"] > 0
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
 
 

@@ -1,7 +1,10 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypcert import term_recognize
 from hypcert.errors import NotRationallyFactorable, PoleOnPath, TermBudgetExceeded
@@ -9,7 +12,6 @@ from hypcert.exact_arith import factorial, pochhammer
 from hypcert.term_recognize import (
     IntPolynomial,
     TermRatio,
-    poly_gcd,
     rational_roots,
     recognize,
     term_at,
@@ -36,11 +38,6 @@ class TestIntPolynomial:
     def test_from_linear_factors(self):
         p = IntPolynomial.from_linear_factors([(2, 1), (-1, 1)])  # (n+2)(n-1)
         assert p.coefficients == (-2, 1, 1)
-
-    def test_gcd(self):
-        a = IntPolynomial.from_linear_factors([(1, 1), (2, 1)])  # (n+1)(n+2)
-        b = IntPolynomial.from_linear_factors([(1, 1), (3, 1)], scale=4)  # 4(n+1)(n+3)
-        assert poly_gcd(a, b).coefficients == (1, 1)
 
 
 class TestRationalRoots:
@@ -150,6 +147,60 @@ class TestRecognize:
         assert got.series.lower == (2,)
         assert got.series.z == 1
 
+    def test_shared_factor_cancels(self):
+        ratio = TermRatio(
+            num=IntPolynomial.from_linear_factors([(1, 1), (2, 1)]),  # (n+1)(n+2)
+            den=IntPolynomial.from_linear_factors([(1, 1), (3, 1)], scale=4),  # 4(n+1)(n+3)
+            t0=Fraction(1),
+        )
+        got = recognize(ratio)
+        assert got.series.upper == (1, 2)
+        assert got.series.lower == (3,)
+        assert got.series.z == Fraction(1, 4)
+
+    def test_shared_irreducible_cofactor_cancels(self):
+        rootless = IntPolynomial([2, 0, 3])  # 3n^2+2
+        ratio = TermRatio(
+            num=rootless * IntPolynomial([2, 1]) * IntPolynomial([5]),  # 5(3n^2+2)(n+2)
+            den=rootless * IntPolynomial([1, 1]),  # (3n^2+2)(n+1)
+            t0=Fraction(1),
+        )
+        got = recognize(ratio)
+        assert got.series.upper == (2,)
+        assert got.series.lower == ()
+        assert got.series.z == 5
+
+    def test_cofactors_that_do_not_cancel_are_rejected(self):
+        # (n^2+1)/(n^2+2): no rational roots on either side, not proportional
+        ratio = TermRatio(num=IntPolynomial([1, 0, 1]), den=IntPolynomial([2, 0, 1]), t0=Fraction(1))
+        with pytest.raises(NotRationallyFactorable, match="numerator"):
+            recognize(ratio)
+        # (n^2+1) / (n^2+1)(n^2+2): n^2+1 cancels, n^2+2 does not
+        ratio = TermRatio(
+            num=IntPolynomial([1, 0, 1]), den=IntPolynomial([1, 0, 1]) * IntPolynomial([2, 0, 1]), t0=Fraction(1)
+        )
+        with pytest.raises(NotRationallyFactorable):
+            recognize(ratio)
+        # only the side that keeps a cofactor is named, with shared linear factors divided out
+        ratio = TermRatio(
+            num=IntPolynomial([1, 1]) * IntPolynomial([3, 1]),  # (n+1)(n+3)
+            den=IntPolynomial([1, 1]) * IntPolynomial([1, 0, 1]),  # (n+1)(n^2+1)
+            t0=Fraction(1),
+        )
+        with pytest.raises(NotRationallyFactorable, match=r"^denominator 1 \+n\^2 has"):
+            recognize(ratio)
+
+    def test_shared_nonnegative_integer_root_is_a_pole(self):
+        # (n-2)(n+4) / (n-2)(n+1): the reduced ratio never vanishes, but the
+        # given one is 0/0 at n = 2
+        ratio = TermRatio(
+            num=IntPolynomial.from_linear_factors([(-2, 1), (4, 1)]),
+            den=IntPolynomial.from_linear_factors([(-2, 1), (1, 1)]),
+            t0=Fraction(1),
+        )
+        with pytest.raises(PoleOnPath, match="n = 2"):
+            recognize(ratio)
+
     def test_geometric_term(self):
         ratio = TermRatio(num=IntPolynomial([3]), den=IntPolynomial([4]), t0=Fraction(2))
         got = recognize(ratio)
@@ -225,3 +276,130 @@ class TestRecognize:
             int(r) for r, _ in rational_roots(ratio.num) if r.denominator == 1 and r >= 0
         ]
         return min(hits) if hits else 8
+
+
+# A factor (c0, c1) stands for c0 + c1*n, the parameter c0/c1; a rootless
+# factor (a, c) stands for a*n^2 + c with a, c > 0, which has no real roots.
+linear_factor = st.tuples(st.integers(-6, 6), st.integers(1, 3))
+rootless_factor = st.none() | st.tuples(st.integers(1, 3), st.integers(1, 5))
+
+
+@st.composite
+def constructed_ratios(draw):
+    shared = draw(st.lists(linear_factor, max_size=2))
+    up = draw(st.lists(linear_factor, max_size=3)) + shared
+    low = draw(st.lists(linear_factor, max_size=3)) + shared
+    if up:
+        up += draw(st.lists(st.sampled_from(up), max_size=2))  # multiplicities
+    if low:
+        low += draw(st.lists(st.sampled_from(low), max_size=2))
+    scales = st.sampled_from([-5, -3, -2, -1, 1, 2, 4, 7])
+    return up, low, draw(scales), draw(scales), draw(rootless_factor), draw(rootless_factor)
+
+
+def build_ratio(up, low, scale_p, scale_q, rest_p, rest_q) -> TermRatio:
+    def poly(factors, scale, rest):
+        p = IntPolynomial.from_linear_factors(factors, scale=scale)
+        return p if rest is None else p * IntPolynomial([rest[1], 0, rest[0]])
+
+    return TermRatio(num=poly(up, scale_p, rest_p), den=poly(low, scale_q, rest_q), t0=Fraction(3, 5))
+
+
+def expected_recognition(up, low, scale_p, scale_q, rest_p, rest_q):
+    """The exception class, or (upper, lower, z), read off the construction."""
+    if (rest_p and Fraction(rest_p[1], rest_p[0])) != (rest_q and Fraction(rest_q[1], rest_q[0])):
+        return NotRationallyFactorable  # the rootless factors do not cancel
+    upper = Counter(Fraction(c0, c1) for c0, c1 in up)
+    lower = Counter(Fraction(c0, c1) for c0, c1 in low)
+    upper, reduced_lower = upper - lower, lower - upper
+    stop = min((-a for a in upper if a.denominator == 1 and a <= 0), default=None)
+    if any(b.denominator == 1 and b <= 0 and (stop is None or -b < stop) for b in lower):
+        return PoleOnPath  # the given denominator vanishes before the term does
+    upper, lower = sorted(upper.elements()), sorted(reduced_lower.elements())
+    if 1 in lower:
+        lower.remove(1)
+    else:
+        upper = sorted(upper + [Fraction(1)])
+
+    def lead(factors, scale, rest):
+        return scale * math.prod(c1 for _, c1 in factors) * (rest[0] if rest else 1)
+
+    return tuple(upper), tuple(lower), Fraction(lead(up, scale_p, rest_p), lead(low, scale_q, rest_q))
+
+
+class TestRecognizeProperties:
+    @given(constructed_ratios())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_construction(self, case):
+        ratio = build_ratio(*case)
+        expected = expected_recognition(*case)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                recognize(ratio)
+            return
+        got = recognize(ratio)
+        assert (got.series.upper, got.series.lower, got.series.z) == expected
+        assert got.prefactor == ratio.t0
+
+
+def random_integer_polynomial(rng: random.Random) -> IntPolynomial:
+    if rng.random() < 0.3:  # dense, mostly without rational roots
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        return IntPolynomial(coeffs) if any(coeffs) else IntPolynomial([1])
+    factors = [(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+    p = IntPolynomial.from_linear_factors(factors, scale=rng.choice([-3, -1, 1, 2, 6]))
+    if rng.random() < 0.3:
+        p = p * IntPolynomial([rng.randint(1, 4), rng.randint(-2, 2), rng.randint(1, 3)])
+    return p
+
+
+class TestAgainstSympy:
+    def test_accept_reject_and_parameters(self):
+        sympy = pytest.importorskip("sympy")
+        n = sympy.Symbol("n")
+
+        def to_sympy(p):
+            return sum((c * n**i for i, c in enumerate(p.coefficients)), sympy.Integer(0))
+
+        def linear_parameters(expr):
+            """Parameters c0/c1 of the linear factors, and whether any factor is nonlinear."""
+            params, nonlinear = Counter(), False
+            for factor, mult in sympy.factor_list(expr, n)[1]:
+                poly = sympy.Poly(factor, n)
+                if poly.degree() > 1:
+                    nonlinear = True
+                    continue
+                c1, c0 = poly.all_coeffs()
+                params[Fraction(int(c0), int(c1))] += mult
+            return params, nonlinear
+
+        rng = random.Random(1996)
+        shared = [IntPolynomial([1, 1]), IntPolynomial([-2, 1]), IntPolynomial([1, 0, 1]), IntPolynomial([3, 2])]
+        for _ in range(300):
+            num, den = random_integer_polynomial(rng), random_integer_polynomial(rng)
+            if rng.random() < 0.4:
+                common = rng.choice(shared)
+                num, den = num * common, den * common
+            ratio = TermRatio(num=num, den=den, t0=Fraction(1))
+            reduced_num, reduced_den = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+            (upper, upper_rest), (lower, lower_rest) = linear_parameters(reduced_num), linear_parameters(reduced_den)
+            if upper_rest or lower_rest:
+                with pytest.raises(NotRationallyFactorable):
+                    recognize(ratio)
+                continue
+            original_lower, _ = linear_parameters(to_sympy(den))
+            stop = min((-a for a in upper if a.denominator == 1 and a <= 0), default=None)
+            if any(b.denominator == 1 and b <= 0 and (stop is None or -b < stop) for b in original_lower):
+                with pytest.raises(PoleOnPath):
+                    recognize(ratio)
+                continue
+            got = recognize(ratio)
+            lower_list = sorted(lower.elements())
+            if 1 in lower_list:
+                lower_list.remove(1)
+            else:
+                upper[Fraction(1)] += 1
+            z = sympy.Poly(reduced_num, n).LC() / sympy.Poly(reduced_den, n).LC()
+            assert got.series.upper == tuple(sorted(upper.elements()))
+            assert got.series.lower == tuple(lower_list)
+            assert got.series.z == Fraction(int(z.p), int(z.q))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypcert.errors import NotTerminating, PoleInClosedForm
+from hypcert import whipple
+from hypcert.errors import NotTerminating, PoleInClosedForm, TermBudgetExceeded
 from hypcert.exact_arith import factorial
 from hypcert.hyper_series import HypSeries, eval_exact
 from hypcert.whipple import (
@@ -190,6 +191,17 @@ class TestRhsExactTerminating:
         # a - c + 1 = -1 and shift 2 put a zero into the denominator product
         with pytest.raises(PoleInClosedForm):
             rhs_exact_terminating(WhippleMatch(Fraction(1), Fraction(-2), Fraction(3)))
+
+    def test_shift_up_to_the_budget(self, monkeypatch):
+        monkeypatch.setattr(whipple, "DEFAULT_MAX_TERMS", 2)
+        # the terminating c = -2 is swapped into the b slot, shift 2
+        assert rhs_exact_terminating(WhippleMatch(Fraction(5), Fraction(7, 2), Fraction(-2))) == Fraction(24, 5)
+        with pytest.raises(TermBudgetExceeded):
+            rhs_exact_terminating(WhippleMatch(Fraction(5), Fraction(7, 2), Fraction(-3)))
+
+    def test_huge_shift_refused_at_once(self):
+        with pytest.raises(TermBudgetExceeded):
+            rhs_exact_terminating(WhippleMatch(Fraction(2), Fraction(-(10**9)), Fraction(1, 2)))
 
     def test_equals_series_sum(self):
         rng = random.Random(2024)
