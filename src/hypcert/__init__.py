@@ -8,7 +8,6 @@ exactly.
 """
 
 from .errors import (
-    AmbiguousCancellation,
     DivergentSeries,
     HypergeometricError,
     NonConvergedWithinBudget,
@@ -20,7 +19,7 @@ from .errors import (
     TermBudgetExceeded,
     VerificationError,
 )
-from .exact_arith import Rational, binomial, factorial, pochhammer
+from .exact_arith import Rational, pochhammer
 from .hyper_series import (
     Classification,
     HypSeries,
@@ -29,12 +28,10 @@ from .hyper_series import (
     classify,
     eval_exact,
     eval_numeric,
-    normalize,
     parametric_excess,
 )
 from .sesma_identity import (
     IdentityReport,
-    explore_sum,
     lhs_sum,
     lhs_term,
     rewrite,
@@ -42,13 +39,12 @@ from .sesma_identity import (
     sweep,
     verify,
 )
-from .term_recognize import IntPolynomial, TermRatio, rational_roots, recognize, term_at
+from .term_recognize import IntPolynomial, TermRatio, recognize, term_at
 from .whipple import WhippleMatch, log_gamma, match_whipple, rhs_exact_terminating, rhs_numeric
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousCancellation",
     "Classification",
     "DivergentSeries",
     "HypSeries",
@@ -68,20 +64,15 @@ __all__ = [
     "TermRatio",
     "VerificationError",
     "WhippleMatch",
-    "binomial",
     "classify",
     "eval_exact",
     "eval_numeric",
-    "explore_sum",
-    "factorial",
     "lhs_sum",
     "lhs_term",
     "log_gamma",
     "match_whipple",
-    "normalize",
     "parametric_excess",
     "pochhammer",
-    "rational_roots",
     "recognize",
     "rewrite",
     "rhs_exact_terminating",

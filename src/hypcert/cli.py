@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -132,16 +131,16 @@ def _emit(doc: dict, fmt: str, out) -> None:
         _emit_table(doc, out)
 
 
+def _rows(results: list[dict]) -> list[list[str]]:
+    """The header row of the results' keys, then one row of cells per result."""
+    if not results:
+        return []
+    header = list(results[0].keys())
+    return [header] + [[_csv_cell(row[key]) for key in header] for row in results]
+
+
 def _emit_csv(doc: dict, out) -> None:
-    results = doc["results"]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if results:
-        header = list(results[0].keys())
-        writer.writerow(header)
-        for row in results:
-            writer.writerow([_csv_cell(row[key]) for key in header])
-    out.write(buffer.getvalue())
+    csv.writer(out, lineterminator="\n").writerows(_rows(doc["results"]))
 
 
 def _csv_cell(value) -> str:
@@ -157,14 +156,9 @@ def _csv_cell(value) -> str:
 
 
 def _emit_table(doc: dict, out) -> None:
-    results = doc["results"]
-    if results:
-        header = list(results[0].keys())
-        rows = [[_csv_cell(row[key]) for key in header] for row in results]
-        widths = [
-            max(len(name), *(len(row[i]) for row in rows)) for i, name in enumerate(header)
-        ]
-        out.write("  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip() + "\n")
+    rows = _rows(doc["results"])
+    if rows:
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         for row in rows:
             out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n")
     summary = doc.get("summary") or {}

@@ -1,6 +1,6 @@
 """Exception types raised by the exact evaluation and recognition machinery.
 
-Plain domain errors on scalar preconditions (negative factorial argument,
+Plain domain errors on scalar preconditions (negative Pochhammer shift,
 non-positive log-gamma argument, ...) raise the builtin ``ValueError``;
 the classes here cover failures that are properties of a *series* or a
 *term ratio* rather than of a single scalar.
@@ -31,11 +31,6 @@ class TermBudgetExceeded(HypergeometricError):
     """A terminating series or term index needs more steps than the term budget."""
 
 
-class AmbiguousCancellation(HypergeometricError):
-    """A shared upper/lower parameter is a nonpositive integer; cancelling it
-    would silently change the value of an ill-posed series."""
-
-
 class NotRationallyFactorable(HypergeometricError):
     """A term-ratio polynomial has an irreducible factor with no rational roots."""
 
@@ -61,3 +56,7 @@ class VerificationError(HypergeometricError):
         self.failures = dict(failures)
         detail = "; ".join(f"{name}: {msg}" for name, msg in self.failures.items())
         super().__init__(f"verification failed at (k={k}, m={m}): {detail}")
+
+    def __reduce__(self):
+        # args holds only the message, which __init__ does not accept
+        return self.__class__, (self.k, self.m, self.failures)

@@ -1,4 +1,4 @@
-"""Exact integer and rational kernel: factorials, binomials, Pochhammer symbols.
+"""Exact integer and rational kernel: the rational type and Pochhammer symbols.
 
 ``Rational`` is ``fractions.Fraction``: arbitrary precision, always stored
 with a positive denominator and gcd-reduced, so equality is structural.
@@ -6,39 +6,18 @@ Everything downstream (series evaluation, term recognition, certification)
 computes in this type; floats only ever appear in the explicitly numeric
 cross-check paths.
 
-Factorials and binomials are exact integer products, never Gamma-function
+Pochhammer symbols are exact integer products, never Gamma-function
 detours; the Gamma route lives in :mod:`hypcert.whipple` as the independent
 floating-point side of the cross-checks.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 Rational = Fraction
 
-__all__ = ["Rational", "factorial", "binomial", "pochhammer", "is_nonpositive_integer"]
-
-
-def factorial(n: int) -> int:
-    """n! as an exact integer; 0! = 1. Rejects negative n."""
-    if n < 0:
-        raise ValueError(f"factorial of negative argument {n}")
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient n-choose-k for n >= 0.
-
-    Out-of-range k (k < 0 or k > n) yields 0 rather than an error, so finite
-    sums over a shifting window never need boundary guards.
-    """
-    if n < 0:
-        raise ValueError(f"binomial upper index must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+__all__ = ["Rational", "pochhammer", "is_nonpositive_integer"]
 
 
 def pochhammer(x: Rational | int, n: int) -> Rational:

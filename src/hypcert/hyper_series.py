@@ -11,13 +11,11 @@ nonterminating series can be summed numerically with a tolerance gate.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 
 from .errors import (
-    AmbiguousCancellation,
     DivergentSeries,
     NonConvergedWithinBudget,
     NotTerminating,
@@ -36,7 +34,6 @@ __all__ = [
     "parametric_excess",
     "eval_exact",
     "eval_numeric",
-    "normalize",
     "DEFAULT_MAX_TERMS",
 ]
 
@@ -114,10 +111,6 @@ class Classification(Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "index", index)
 
-    @property
-    def is_terminating(self) -> bool:
-        return self.kind is SeriesKind.TERMINATING
-
     def __str__(self) -> str:
         if self.index is None:
             return self.kind.value
@@ -170,24 +163,18 @@ def parametric_excess(s: HypSeries) -> Rational:
     return sum(s.lower, Fraction(0)) - sum(s.upper, Fraction(0))
 
 
-def _ratio_factors(s: HypSeries) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int, int]:
-    up = [(a.numerator, a.denominator) for a in s.upper]
-    lo = [(b.numerator, b.denominator) for b in s.lower]
-    return up, lo, s.z.numerator, s.z.denominator
-
-
-def _check_term_budget(s: HypSeries, n_terms: int, max_terms: int) -> None:
-    if n_terms > max_terms:
+def _check_term_budget(s: HypSeries, n_terms: int) -> None:
+    if n_terms > DEFAULT_MAX_TERMS:
         raise TermBudgetExceeded(
-            f"series {s} terminates after {n_terms} steps, over the budget of {max_terms}"
+            f"series {s} terminates after {n_terms} steps, over the budget of {DEFAULT_MAX_TERMS}"
         )
 
 
-def eval_exact(s: HypSeries, max_terms: int = DEFAULT_MAX_TERMS) -> Rational:
+def eval_exact(s: HypSeries) -> Rational:
     """Exact rational sum of a terminating series.
 
-    A series whose termination index N exceeds ``max_terms`` is refused
-    with :class:`TermBudgetExceeded` before any term is computed.
+    A series whose termination index N exceeds ``DEFAULT_MAX_TERMS`` is
+    refused with :class:`TermBudgetExceeded` before any term is computed.
 
     With t_{n+1}/t_n = P(n)/Q(n) the sum is taken in nested (Horner) form
     from the last term back,
@@ -204,14 +191,15 @@ def eval_exact(s: HypSeries, max_terms: int = DEFAULT_MAX_TERMS) -> Rational:
     if cls.kind is not SeriesKind.TERMINATING:
         raise NotTerminating(f"series {s} is {cls}, exact summation needs termination")
     n_terms = cls.index  # sum runs n = 0..N
-    _check_term_budget(s, n_terms, max_terms)
-    up, lo, z_num, z_den = _ratio_factors(s)
+    _check_term_budget(s, n_terms)
+    up = [(a.numerator, a.denominator) for a in s.upper]
+    lo = [(b.numerator, b.denominator) for b in s.lower]
     # t_{n+1}/t_n = P(n)/Q(n) with
     #   P(n) = prod(p_i + n q_i) * prod(s_j) * z_num
     #   Q(n) = prod(r_j + n s_j) * prod(q_i) * z_den * (n + 1)
     # Q(n) != 0 for n < N: a lower pole below N makes the series ill-posed.
-    p_const = math.prod(q for _, q in lo) * z_num
-    q_const = math.prod(q for _, q in up) * z_den
+    p_const = math.prod(q for _, q in lo) * s.z.numerator
+    q_const = math.prod(q for _, q in up) * s.z.denominator
     acc_num = 1
     acc_den = 1
     for n in range(n_terms - 1, -1, -1):
@@ -260,9 +248,8 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
         comp = (t - total) - y
         total = t
 
-    if cls.is_terminating:
-        assert cls.index is not None
-        _check_term_budget(s, cls.index, DEFAULT_MAX_TERMS)
+    if cls.kind is SeriesKind.TERMINATING:
+        _check_term_budget(s, cls.index)
         for n in range(cls.index + 1):
             add(term)
             if n == cls.index:
@@ -288,33 +275,3 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
         f"no convergence after {max_terms} terms of {s} at tolerance {tol}"
     )
 
-
-def normalize(s: HypSeries) -> tuple[HypSeries, list[Fraction]]:
-    """Cancel parameter values present in both lists, one occurrence at a time.
-
-    Refuses to cancel a nonpositive integer: such a pair hides a 0/0 factor
-    and auto-cancelling it would change the value of an ill-posed series.
-    Returns the reduced series and the cancelled values sorted ascending.
-    """
-    shared = Counter(s.upper) & Counter(s.lower)
-    cancelled: list[Fraction] = []
-    for value, count in shared.items():
-        if is_nonpositive_integer(value):
-            raise AmbiguousCancellation(
-                f"parameter {value} appears in both lists and is a nonpositive integer"
-            )
-        cancelled.extend([value] * count)
-    remaining = Counter(shared)
-
-    def strip(params: tuple[Fraction, ...], budget: Counter) -> list[Fraction]:
-        out = []
-        for value in params:
-            if budget[value] > 0:
-                budget[value] -= 1
-            else:
-                out.append(value)
-        return out
-
-    new_upper = strip(s.upper, Counter(remaining))
-    new_lower = strip(s.lower, Counter(remaining))
-    return HypSeries(new_upper, new_lower, s.z), sorted(cancelled)

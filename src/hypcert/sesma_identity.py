@@ -19,9 +19,9 @@ import math
 import os
 from fractions import Fraction
 
-from .errors import VerificationError
-from .exact_arith import Rational, binomial
-from .hyper_series import HypSeries, PrefactoredSeries, eval_exact
+from .errors import TermBudgetExceeded, VerificationError
+from .exact_arith import Rational
+from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries, eval_exact
 from .record import Record
 from .term_recognize import IntPolynomial, TermRatio
 from .whipple import match_whipple, rhs_exact_terminating
@@ -30,7 +30,6 @@ __all__ = [
     "IdentityReport",
     "lhs_term",
     "lhs_sum",
-    "explore_sum",
     "sesma_ratio",
     "rewrite",
     "verify",
@@ -77,12 +76,9 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"m must be nonnegative, got {m}")
     if k < m:
         raise ValueError(f"the identity requires k >= m, got k = {k}, m = {m}")
-
-
-def _term(k: int, m: int, n: int) -> Rational:
-    num = binomial(m, n) * binomial(k + n, m) * (2 * n + k + 1)
-    den = binomial(k + m + n, m + n) * (m + n + k + 1)
-    return Fraction(num, den)
+    # every pathway takes m steps; refuse before the first one
+    if m > DEFAULT_MAX_TERMS:
+        raise TermBudgetExceeded(f"m = {m} is over the budget of {DEFAULT_MAX_TERMS} steps")
 
 
 def lhs_term(k: int, m: int, n: int) -> Rational:
@@ -90,7 +86,9 @@ def lhs_term(k: int, m: int, n: int) -> Rational:
     _check_km(k, m)
     if n < 0 or n > m:
         raise ValueError(f"term index must satisfy 0 <= n <= m, got n = {n}, m = {m}")
-    return _term(k, m, n)
+    num = math.comb(m, n) * math.comb(k + n, m) * (2 * n + k + 1)
+    den = math.comb(k + m + n, m + n) * (m + n + k + 1)
+    return Fraction(num, den)
 
 
 def lhs_sum(k: int, m: int) -> Rational:
@@ -120,18 +118,6 @@ def lhs_sum(k: int, m: int) -> Rational:
             (n + 1) * (k - m + n + 1) * (k + m + n + 2)
         )
     return Fraction(total, math.perm(k + 2 * m + 1, 2 * m + 1))
-
-
-def explore_sum(k: int, m: int) -> Rational:
-    """The same binomial sum without the k >= m gate.
-
-    Out-of-range binomials vanish, so the expression stays well defined for
-    any k, m >= 0; this exploratory mode reports the actual value instead of
-    asserting the identity, whose claim covers k >= m only.
-    """
-    if k < 0 or m < 0:
-        raise ValueError(f"k and m must be nonnegative, got k = {k}, m = {m}")
-    return sum((_term(k, m, n) for n in range(m + 1)), Fraction(0))
 
 
 def sesma_ratio(k: int, m: int) -> TermRatio:
@@ -173,6 +159,8 @@ def verify(k: int, m: int) -> IdentityReport:
 
     All pathways are attempted even if an earlier one fails, so a failure
     surfaces with every collected diagnostic rather than a partial report.
+    An m above ``DEFAULT_MAX_TERMS`` is refused with
+    :class:`TermBudgetExceeded` before any pathway runs.
     """
     _check_km(k, m)
     failures: dict[str, str] = {}
@@ -185,7 +173,7 @@ def verify(k: int, m: int) -> IdentityReport:
 
     prefactored = rewrite(k, m)
     try:
-        via_series = prefactored.prefactor * eval_exact(prefactored.series, max_terms=m)
+        via_series = prefactored.prefactor * eval_exact(prefactored.series)
     except Exception as exc:  # pragma: no cover - no known failing input
         failures["via_series"] = str(exc)
 

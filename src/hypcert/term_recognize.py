@@ -26,7 +26,6 @@ from .record import Record
 __all__ = [
     "IntPolynomial",
     "TermRatio",
-    "rational_roots",
     "recognize",
     "term_at",
 ]
@@ -144,7 +143,7 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
     confirmed root is divided out until it no longer divides.
     """
     if p.is_zero:
-        raise ValueError("rational_roots of the zero polynomial")
+        raise ValueError("rational roots of the zero polynomial")
     coeffs = list(p.coefficients)
     roots: Counter = Counter()
     while coeffs[0] == 0:
@@ -162,11 +161,6 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
             coeffs = quotient
             roots[root] += 1
     return roots, coeffs
-
-
-def rational_roots(p: IntPolynomial) -> list[tuple[Rational, int]]:
-    """All rational roots of p with multiplicities, sorted ascending."""
-    return sorted(_split(p)[0].items())
 
 
 class TermRatio(Record):

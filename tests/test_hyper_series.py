@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from hypcert import hyper_series
 from hypcert.errors import (
-    AmbiguousCancellation,
     DivergentSeries,
     NonConvergedWithinBudget,
     NotTerminating,
     PoleEncountered,
     TermBudgetExceeded,
 )
-from hypcert.exact_arith import factorial, pochhammer
+from hypcert.exact_arith import pochhammer
 from hypcert.hyper_series import (
     Classification,
     HypSeries,
@@ -22,7 +21,6 @@ from hypcert.hyper_series import (
     classify,
     eval_exact,
     eval_numeric,
-    normalize,
     parametric_excess,
 )
 
@@ -35,7 +33,7 @@ def termwise_oracle(s: HypSeries, n_terms: int) -> Fraction:
     """Independent closed-form sum: each term from Pochhammer products."""
     total = Fraction(0)
     for n in range(n_terms + 1):
-        term = Fraction(s.z) ** n / factorial(n)
+        term = Fraction(s.z) ** n / math.factorial(n)
         for a in s.upper:
             term *= pochhammer(a, n)
         denominator = Fraction(1)
@@ -191,10 +189,13 @@ class TestEvalExactAgainstTermwiseSum:
 class TestTermBudget:
     S = series([-5, 1], [3], -1)  # terminates at N = 5
 
-    def test_exact_termination_index_up_to_the_budget(self):
-        assert eval_exact(self.S, max_terms=5) == eval_exact(self.S)
+    def test_exact_termination_index_up_to_the_budget(self, monkeypatch):
+        expected = termwise_oracle(self.S, 5)
+        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 5)
+        assert eval_exact(self.S) == expected
+        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 4)
         with pytest.raises(TermBudgetExceeded):
-            eval_exact(self.S, max_terms=4)
+            eval_exact(self.S)
 
     def test_numeric_termination_index_up_to_the_default_budget(self, monkeypatch):
         expected = float(eval_exact(self.S))
@@ -267,38 +268,6 @@ class TestEvalNumeric:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             eval_numeric(series([-2], [], 1), 0.0)
-
-
-class TestNormalize:
-    def test_duplicate_removed(self):
-        reduced, cancelled = normalize(series([3, 2], [2], 1))
-        assert sorted(reduced.upper) == [3]
-        assert reduced.lower == ()
-        assert cancelled == [2]
-
-    def test_family_collision_case(self):
-        # k = 2m instance: m+1 appears on both sides
-        reduced, cancelled = normalize(
-            series([3, Fraction(5, 2), -1, 2], [Fraction(3, 2), 5, 2], -1)
-        )
-        assert sorted(reduced.upper) == [-1, Fraction(5, 2), 3]
-        assert sorted(reduced.lower) == [Fraction(3, 2), 5]
-        assert cancelled == [2]
-
-    def test_nonpositive_integer_refused(self):
-        with pytest.raises(AmbiguousCancellation):
-            normalize(series([-1], [-1], 1))
-
-    def test_value_preserved(self):
-        rng = random.Random(7)
-        for _ in range(80):
-            s = random_terminating(rng)
-            # graft a harmless duplicate onto both sides
-            extra = Fraction(rng.randint(1, 9), rng.randint(1, 3))
-            dup = HypSeries(list(s.upper) + [extra], list(s.lower) + [extra], s.z)
-            reduced, cancelled = normalize(dup)
-            assert extra in cancelled
-            assert eval_exact(reduced) == eval_exact(dup) == eval_exact(s)
 
 
 class TestAgainstMpmath:

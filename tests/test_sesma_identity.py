@@ -1,4 +1,7 @@
 import concurrent.futures
+import math
+import multiprocessing
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,12 +9,11 @@ from fractions import Fraction
 import pytest
 
 from hypcert import sesma_identity
-from hypcert.errors import VerificationError
-from hypcert.exact_arith import binomial, factorial, pochhammer
-from hypcert.hyper_series import eval_exact, normalize
+from hypcert.errors import TermBudgetExceeded, VerificationError
+from hypcert.exact_arith import pochhammer
+from hypcert.hyper_series import eval_exact
 from hypcert.sesma_identity import (
     IdentityReport,
-    explore_sum,
     lhs_sum,
     lhs_term,
     rewrite,
@@ -75,30 +77,6 @@ class TestLhsSum:
             lhs_sum(1, 2)
 
 
-class TestExploreSum:
-    def test_agrees_in_range(self):
-        for k in range(8):
-            for m in range(k + 1):
-                assert explore_sum(k, m) == lhs_sum(k, m)
-
-    def test_out_of_range_reports_actual_value(self):
-        # beyond the identity's k >= m domain nothing is asserted about the
-        # value; the mode just reports what the (still well-defined) sum is
-        for k, m in [(0, 1), (1, 3), (2, 5), (0, 4)]:
-            naive = Fraction(0)
-            for n in range(m + 1):
-                # binomial(k+n, m) vanishes while k+n < m
-                naive += Fraction(
-                    binomial(m, n) * binomial(k + n, m) * (2 * n + k + 1),
-                    binomial(k + m + n, m + n) * (m + n + k + 1),
-                )
-            assert explore_sum(k, m) == naive
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            explore_sum(-1, 0)
-
-
 class TestSesmaRatio:
     def test_ratio_values(self):
         r = sesma_ratio(2, 1)
@@ -153,31 +131,38 @@ class TestRewrite:
             assert rewrite(k, m).prefactor == lhs_term(k, m, 0)
 
 
+def reduced(series) -> tuple[Counter, Counter]:
+    """The parameter multisets of a series with the values shared by both
+    lists cancelled."""
+    upper, lower = Counter(series.upper), Counter(series.lower)
+    return upper - lower, lower - upper
+
+
 class TestDerivationChain:
     @pytest.mark.parametrize("k,m", [(2, 1), (5, 1), (0, 0), (4, 2), (6, 3), (7, 3), (9, 4)])
     def test_recognize_matches_rewrite_reduced(self, k, m):
         recognized = recognize(sesma_ratio(k, m))
-        reduced, _ = normalize(rewrite(k, m).series)
+        upper, lower = reduced(rewrite(k, m).series)
         assert recognized.prefactor == rewrite(k, m).prefactor
-        assert recognized.series.z == reduced.z == -1
-        assert Counter(recognized.series.upper) == Counter(reduced.upper)
-        assert Counter(recognized.series.lower) == Counter(reduced.lower)
+        assert recognized.series.z == rewrite(k, m).series.z == -1
+        assert Counter(recognized.series.upper) == upper
+        assert Counter(recognized.series.lower) == lower
 
     def test_collision_cases(self):
         # k = 2m merges m+1 with k-m+1; k = 2m+1 merges two pairs; m = 0
         # merges k+1 across the lists; all must reduce identically
         for k, m in [(4, 2), (8, 4), (5, 2), (9, 4), (6, 0), (1, 1), (3, 1), (1, 0)]:
             recognized = recognize(sesma_ratio(k, m))
-            reduced, _ = normalize(rewrite(k, m).series)
-            assert Counter(recognized.series.upper) == Counter(reduced.upper)
-            assert Counter(recognized.series.lower) == Counter(reduced.lower)
+            upper, lower = reduced(rewrite(k, m).series)
+            assert Counter(recognized.series.upper) == upper
+            assert Counter(recognized.series.lower) == lower
 
     def test_series_terms_match_binomial_terms(self):
         # both the closed-form rewrite and the recognized ratio, termwise
         for k, m in [(2, 1), (5, 1), (6, 3), (8, 4), (7, 0)]:
             for prefactored in (rewrite(k, m), recognize(sesma_ratio(k, m))):
                 for n in range(m + 1):
-                    term = prefactored.prefactor * Fraction(-1) ** n / factorial(n)
+                    term = prefactored.prefactor * Fraction(-1) ** n / math.factorial(n)
                     for a in prefactored.series.upper:
                         term *= pochhammer(a, n)
                     for b in prefactored.series.lower:
@@ -200,8 +185,8 @@ class TestWhipplePathway:
                     pochhammer(Fraction(k + 2), m)
                     / pochhammer(Fraction(k - m + 1), m)
                     * Fraction(
-                        factorial(k + 1) * factorial(k),
-                        factorial(k - m) * factorial(k + m + 1),
+                        math.factorial(k + 1) * math.factorial(k),
+                        math.factorial(k - m) * math.factorial(k + m + 1),
                     )
                 )
                 assert lhs == 1
@@ -224,6 +209,21 @@ class TestVerify:
     def test_rejects_k_below_m(self):
         with pytest.raises(ValueError):
             verify(1, 2)
+
+    def test_m_over_the_budget_refused_before_any_pathway(self, monkeypatch):
+        calls = []
+        real_lhs_sum = sesma_identity.lhs_sum
+
+        def recording_lhs_sum(k, m):
+            calls.append((k, m))
+            return real_lhs_sum(k, m)
+
+        monkeypatch.setattr(sesma_identity, "lhs_sum", recording_lhs_sum)
+        monkeypatch.setattr(sesma_identity, "DEFAULT_MAX_TERMS", 3)
+        assert verify(5, 3).all_equal_one
+        with pytest.raises(TermBudgetExceeded, match="m = 4 is over the budget of 3 steps"):
+            verify(5, 4)
+        assert calls == [(5, 3)]
 
     def test_inconsistent_report_refused(self):
         with pytest.raises(ValueError):
@@ -298,3 +298,29 @@ class TestVerificationError:
         assert err.k == 3 and err.m == 1
         assert "via_whipple" in err.failures
         assert "(k=3, m=1)" in str(err)
+
+    def test_pickle_round_trip(self):
+        err = VerificationError(3, 1, {"direct": "boom", "via_whipple": "nope"})
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(err, protocol=protocol))
+            assert type(back) is VerificationError
+            assert (back.k, back.m, back.failures) == (err.k, err.m, err.failures)
+            assert str(back) == str(err)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_pair_raises_from_sweep(self, monkeypatch, jobs):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the injected fault only when they are forked")
+        real_lhs_sum = sesma_identity.lhs_sum
+
+        def failing_lhs_sum(k, m):
+            if (k, m) == (3, 1):
+                raise ArithmeticError("injected")
+            return real_lhs_sum(k, m)
+
+        monkeypatch.setattr(sesma_identity, "lhs_sum", failing_lhs_sum)
+        monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 2)
+        with pytest.raises(VerificationError) as info:
+            sweep(5, jobs=jobs)
+        assert (info.value.k, info.value.m) == (3, 1)
+        assert info.value.failures == {"direct": "injected"}

@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from hypcert import term_recognize
 from hypcert.errors import NotRationallyFactorable, PoleOnPath, TermBudgetExceeded
-from hypcert.exact_arith import factorial, pochhammer
+from hypcert.exact_arith import pochhammer
 from hypcert.term_recognize import (
     IntPolynomial,
     TermRatio,
-    rational_roots,
     recognize,
     term_at,
 )
@@ -22,6 +21,11 @@ from hypcert.term_recognize import (
 P_K5 = IntPolynomial.from_linear_factors([(1, -1), (6, 1), (2, 1), (4, 1)], scale=2)
 Q_K5 = IntPolynomial.from_linear_factors([(1, 1), (5, 1), (3, 1), (8, 1)], scale=2)
 RATIO_K5 = TermRatio(num=P_K5, den=Q_K5, t0=Fraction(5, 7))
+
+
+def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
+    """The rational roots that recognition splits off p, sorted ascending."""
+    return sorted(term_recognize._split(p)[0].items())
 
 
 class TestIntPolynomial:
@@ -75,6 +79,7 @@ class TestRationalRoots:
             * IntPolynomial([1, 1, 1])
         )
         assert rational_roots(p) == [(Fraction(-7), 1), (Fraction(1, 3), 1)]
+        assert term_recognize._split(p)[1] == [1, 1, 1]
 
 
 class TestTermAt:
@@ -111,7 +116,7 @@ class TestTermAt:
 
 
 def series_term(prefactor: Fraction, s, n: int) -> Fraction:
-    value = prefactor * Fraction(s.z) ** n / factorial(n)
+    value = prefactor * Fraction(s.z) ** n / math.factorial(n)
     for a in s.upper:
         value *= pochhammer(a, n)
     for b in s.lower:
