@@ -17,7 +17,6 @@ from .errors import (
     PoleInClosedForm,
     PoleOnPath,
     TermBudgetExceeded,
-    VerificationError,
 )
 from .exact_arith import Rational, pochhammer
 from .hyper_series import (
@@ -62,7 +61,6 @@ __all__ = [
     "SeriesKind",
     "TermBudgetExceeded",
     "TermRatio",
-    "VerificationError",
     "WhippleMatch",
     "classify",
     "eval_exact",

@@ -244,7 +244,11 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep(args):
-    reports = run_sweep(args.max_k, jobs=args.jobs)
+    inputs = {"max_k": args.max_k}
+    try:
+        reports = run_sweep(args.max_k, jobs=args.jobs)
+    except HypergeometricError as exc:
+        return 1, inputs, [], {"status": f"error: {exc}"}
     passed = sum(1 for r in reports if r.all_equal_one)
     all_pass = passed == len(reports)
     summary = {
@@ -254,7 +258,7 @@ def _cmd_sweep(args):
         "line": f"{passed}/{len(reports)} pass",
     }
     # jobs is deliberately not echoed: output bytes must not depend on it
-    return (0 if all_pass else 1), {"max_k": args.max_k}, [_report_fields(r) for r in reports], summary
+    return (0 if all_pass else 1), inputs, [_report_fields(r) for r in reports], summary
 
 
 _SIGNED_VALUE = re.compile(r"^-\d")

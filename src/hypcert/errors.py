@@ -42,21 +42,3 @@ class PoleOnPath(HypergeometricError):
 class PoleInClosedForm(HypergeometricError):
     """A closed-form Pochhammer denominator evaluates to zero."""
 
-
-class VerificationError(HypergeometricError):
-    """One or more certification pathways failed for a given (k, m).
-
-    Carries every collected diagnostic so a failure is never reported as a
-    silent partial result.
-    """
-
-    def __init__(self, k: int, m: int, failures: dict[str, str]):
-        self.k = k
-        self.m = m
-        self.failures = dict(failures)
-        detail = "; ".join(f"{name}: {msg}" for name, msg in self.failures.items())
-        super().__init__(f"verification failed at (k={k}, m={m}): {detail}")
-
-    def __reduce__(self):
-        # args holds only the message, which __init__ does not accept
-        return self.__class__, (self.k, self.m, self.failures)

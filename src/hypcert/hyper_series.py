@@ -237,40 +237,29 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
     lower = [float(b) for b in s.lower]
     z = float(s.z)
 
+    if cls.kind is SeriesKind.TERMINATING:
+        _check_term_budget(s, cls.index)
     total = 0.0
     comp = 0.0
     term = 1.0
-
-    def add(value: float) -> None:
-        nonlocal total, comp
-        y = value - comp
+    small_streak = 0
+    for n in range(max_terms if cls.index is None else cls.index + 1):
+        y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-
-    if cls.kind is SeriesKind.TERMINATING:
-        _check_term_budget(s, cls.index)
-        for n in range(cls.index + 1):
-            add(term)
-            if n == cls.index:
-                break  # a lower pole AT the index would make t_{N+1} a 0/0
-            num = math.prod(a + n for a in upper)
-            den = math.prod(b + n for b in lower) * (n + 1)
-            term *= num / den * z
-        return total
-
-    small_streak = 0
-    for n in range(max_terms):
-        add(term)
+        if n == cls.index:
+            return total  # a lower pole AT the index would make t_{N+1} a 0/0
         num = math.prod(a + n for a in upper)
         den = math.prod(b + n for b in lower) * (n + 1)
         term *= num / den * z
-        if abs(term) < tol * max(1.0, abs(total)):
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
+        if cls.index is None:
+            if abs(term) < tol * max(1.0, abs(total)):
+                small_streak += 1
+                if small_streak >= 3:
+                    return total
+            else:
+                small_streak = 0
     raise NonConvergedWithinBudget(
         f"no convergence after {max_terms} terms of {s} at tolerance {tol}"
     )

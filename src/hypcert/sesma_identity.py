@@ -19,7 +19,7 @@ import math
 import os
 from fractions import Fraction
 
-from .errors import TermBudgetExceeded, VerificationError
+from .errors import TermBudgetExceeded
 from .exact_arith import Rational
 from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries, eval_exact
 from .record import Record
@@ -40,35 +40,35 @@ __all__ = [
 class IdentityReport(Record):
     """Per-(k, m) record of the three evaluation pathways.
 
-    ``all_equal_one`` is true exactly when all three values are 1; the
-    constructor refuses inconsistent records.
+    Each pathway slot holds the exact value, or the text ``error: <message>``
+    if that pathway raised.  ``all_equal_one`` is true exactly when all
+    three values are 1.
     """
 
-    __slots__ = ("k", "m", "direct", "via_series", "via_whipple", "all_equal_one")
+    __slots__ = ("k", "m", "direct", "via_series", "via_whipple")
     k: int
     m: int
-    direct: Fraction
-    via_series: Fraction
-    via_whipple: Fraction
-    all_equal_one: bool
+    direct: Fraction | str
+    via_series: Fraction | str
+    via_whipple: Fraction | str
 
     def __init__(
         self,
         k: int,
         m: int,
-        direct: Fraction,
-        via_series: Fraction,
-        via_whipple: Fraction,
-        all_equal_one: bool,
+        direct: Fraction | str,
+        via_series: Fraction | str,
+        via_whipple: Fraction | str,
     ) -> None:
-        if all_equal_one != (direct == via_series == via_whipple == 1):
-            raise ValueError("all_equal_one contradicts the pathway values")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "direct", direct)
         object.__setattr__(self, "via_series", via_series)
         object.__setattr__(self, "via_whipple", via_whipple)
-        object.__setattr__(self, "all_equal_one", all_equal_one)
+
+    @property
+    def all_equal_one(self) -> bool:
+        return self.direct == self.via_series == self.via_whipple == 1
 
 
 def _check_km(k: int, m: int) -> None:
@@ -157,50 +157,36 @@ def rewrite(k: int, m: int) -> PrefactoredSeries:
 def verify(k: int, m: int) -> IdentityReport:
     """Run all three pathways for one (k, m) and report their values.
 
-    All pathways are attempted even if an earlier one fails, so a failure
-    surfaces with every collected diagnostic rather than a partial report.
-    An m above ``DEFAULT_MAX_TERMS`` is refused with
+    A pathway that raises reports ``error: <message>`` in its slot, and the
+    others still run; if ``rewrite`` raises, its message fills both slots
+    that depend on it.  An m above ``DEFAULT_MAX_TERMS`` is refused with
     :class:`TermBudgetExceeded` before any pathway runs.
     """
     _check_km(k, m)
-    failures: dict[str, str] = {}
-    direct = via_series = via_whipple = None
-
     try:
         direct = lhs_sum(k, m)
-    except Exception as exc:  # pragma: no cover - no known failing input
-        failures["direct"] = str(exc)
+    except Exception as exc:
+        direct = f"error: {exc}"
 
-    prefactored = rewrite(k, m)
+    try:
+        prefactored = rewrite(k, m)
+    except Exception as exc:
+        return IdentityReport(k, m, direct, f"error: {exc}", f"error: {exc}")
+
     try:
         via_series = prefactored.prefactor * eval_exact(prefactored.series)
-    except Exception as exc:  # pragma: no cover - no known failing input
-        failures["via_series"] = str(exc)
+    except Exception as exc:
+        via_series = f"error: {exc}"
 
     try:
         match = match_whipple(prefactored.series)
-        if match is None:
-            raise ValueError("series did not match the Whipple shape")
-        if (match.a, match.b, match.c) != (k + 1, -m, m + 1):
-            raise ValueError(
-                f"matched ({match.a}, {match.b}, {match.c}), "
-                f"expected (a, b, c) = ({k + 1}, {-m}, {m + 1})"
-            )
+        if match is None or (match.a, match.b, match.c) != (k + 1, -m, m + 1):
+            raise ValueError(f"matched {match}, expected (a, b, c) = ({k + 1}, {-m}, {m + 1})")
         via_whipple = prefactored.prefactor * rhs_exact_terminating(match)
     except Exception as exc:
-        failures["via_whipple"] = str(exc)
+        via_whipple = f"error: {exc}"
 
-    if failures:
-        raise VerificationError(k, m, failures)
-    assert direct is not None and via_series is not None and via_whipple is not None
-    return IdentityReport(
-        k=k,
-        m=m,
-        direct=direct,
-        via_series=via_series,
-        via_whipple=via_whipple,
-        all_equal_one=(direct == 1 and via_series == 1 and via_whipple == 1),
-    )
+    return IdentityReport(k, m, direct, via_series, via_whipple)
 
 
 def _verify_pair(pair: tuple[int, int]) -> IdentityReport:
@@ -212,10 +198,14 @@ def sweep(k_max: int, jobs: int = 1) -> list[IdentityReport]:
 
     With jobs > 1 the reports are computed in worker processes, at most one
     per CPU and per pair; the output order (and hence any serialized form)
-    is identical for every job count.
+    is identical for every job count.  More than ``DEFAULT_MAX_TERMS`` pairs
+    are refused with :class:`TermBudgetExceeded` before any is built.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    count = (k_max + 1) * (k_max + 2) // 2
+    if count > DEFAULT_MAX_TERMS:
+        raise TermBudgetExceeded(f"k_max = {k_max} gives {count} pairs, over the budget of {DEFAULT_MAX_TERMS}")
     pairs = [(k, m) for k in range(k_max + 1) for m in range(k + 1)]
     # a fork pool starts all max_workers at once, so never ask for more
     # workers than there are CPUs or pairs

@@ -21,7 +21,6 @@ ERRORS = [
     "PoleInClosedForm",
     "PoleOnPath",
     "TermBudgetExceeded",
-    "VerificationError",
 ]
 
 PUBLIC = {
@@ -79,6 +78,7 @@ PUBLIC = {
 
 DELETED = [
     "AmbiguousCancellation",
+    "VerificationError",
     "binomial",
     "explore_sum",
     "factorial",

@@ -2,10 +2,12 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
+from hypcert import sesma_identity
 from hypcert.cli import ParseError, ZeroDenominator, parse_rational, run
 
 
@@ -207,6 +209,37 @@ class TestSweepCommand:
         _, serial, _ = invoke(["sweep", "--max-k", "6", "--format", "json"])
         _, parallel, _ = invoke(["sweep", "--max-k", "6", "--format", "json", "--jobs", "2"])
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_pair_is_a_failing_row(self, monkeypatch, jobs):
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the injected fault only when they are forked")
+        real_lhs_sum = sesma_identity.lhs_sum
+
+        def failing_lhs_sum(k, m):
+            if (k, m) == (3, 1):
+                raise ArithmeticError("injected")
+            return real_lhs_sum(k, m)
+
+        monkeypatch.setattr(sesma_identity, "lhs_sum", failing_lhs_sum)
+        monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 2)
+        code, out, _ = invoke(["sweep", "--max-k", "5", "--jobs", jobs, "--format", "json"])
+        assert code == 1
+        doc = json.loads(out)
+        assert [(r["k"], r["m"]) for r in doc["results"]] == [(k, m) for k in range(6) for m in range(k + 1)]
+        assert [r for r in doc["results"] if not r["all_equal_one"]] == [
+            {"k": 3, "m": 1, "direct": "error: injected", "via_series": "1", "via_whipple": "1", "all_equal_one": False}
+        ]
+        assert doc["summary"]["line"] == "20/21 pass"
+
+    def test_over_the_term_budget_exits_one(self, monkeypatch):
+        monkeypatch.setattr(sesma_identity, "DEFAULT_MAX_TERMS", 9)
+        code, out, _ = invoke(["sweep", "--max-k", "2"])
+        assert code == 0
+        assert "6/6 pass" in out
+        code, out, _ = invoke(["sweep", "--max-k", "3"])
+        assert code == 1
+        assert out == "status: error: k_max = 3 gives 10 pairs, over the budget of 9\n"
 
 
 class TestSignedListValues:

@@ -48,10 +48,10 @@ CASES = [
     ),
     (
         IdentityReport,
-        (2, 1, ONE, ONE, ONE, True),
-        (2, 1, ONE, ONE, ONE, True),
+        (2, 1, ONE, ONE, ONE),
+        (2, 1, ONE, ONE, ONE),
         "IdentityReport(k=2, m=1, direct=Fraction(1, 1), via_series=Fraction(1, 1), "
-        "via_whipple=Fraction(1, 1), all_equal_one=True)",
+        "via_whipple=Fraction(1, 1))",
     ),
 ]
 IDS = [case[0].__name__ for case in CASES]
@@ -114,8 +114,9 @@ def test_classification_index_defaults_to_none():
     assert Classification(kind=SeriesKind.CONVERGENT) == Classification(SeriesKind.CONVERGENT, None)
 
 
-def test_identity_report_refuses_inconsistent_record():
-    with pytest.raises(ValueError):
-        IdentityReport(2, 1, ONE, Fraction(2), ONE, True)
-    with pytest.raises(ValueError):
-        IdentityReport(2, 1, ONE, ONE, ONE, False)
+def test_identity_report_all_equal_one_is_computed():
+    assert IdentityReport(2, 1, ONE, ONE, ONE).all_equal_one is True
+    assert IdentityReport(2, 1, ONE, Fraction(2), ONE).all_equal_one is False
+    assert IdentityReport(2, 1, ONE, ONE, "error: boom").all_equal_one is False
+    with pytest.raises(AttributeError):
+        IdentityReport(2, 1, ONE, Fraction(2), ONE).all_equal_one = True

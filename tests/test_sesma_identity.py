@@ -1,6 +1,5 @@
 import concurrent.futures
 import math
-import multiprocessing
 import pickle
 import random
 from collections import Counter
@@ -9,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hypcert import sesma_identity
-from hypcert.errors import TermBudgetExceeded, VerificationError
+from hypcert.errors import TermBudgetExceeded
 from hypcert.exact_arith import pochhammer
 from hypcert.hyper_series import eval_exact
 from hypcert.sesma_identity import (
@@ -225,17 +224,6 @@ class TestVerify:
             verify(5, 4)
         assert calls == [(5, 3)]
 
-    def test_inconsistent_report_refused(self):
-        with pytest.raises(ValueError):
-            IdentityReport(
-                k=1,
-                m=1,
-                direct=Fraction(1),
-                via_series=Fraction(1),
-                via_whipple=Fraction(2),
-                all_equal_one=True,
-            )
-
 
 class TestSweep:
     def test_single_report(self):
@@ -262,6 +250,19 @@ class TestSweep:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sweep(-1)
+
+    def test_pairs_over_the_term_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(sesma_identity, "DEFAULT_MAX_TERMS", 9)
+        assert len(sweep(2)) == 6
+        with pytest.raises(TermBudgetExceeded, match="k_max = 3 gives 10 pairs, over the budget of 9"):
+            sweep(3)
+
+    def test_real_budget_admits_k_445_and_refuses_446(self, monkeypatch):
+        # a stand-in verify keeps the 99,681 pairs of k_max = 445 cheap
+        monkeypatch.setattr(sesma_identity, "verify", lambda k, m: (k, m))
+        assert len(sweep(445)) == 99_681
+        with pytest.raises(TermBudgetExceeded, match="k_max = 446 gives 100128 pairs, over the budget of 100000"):
+            sweep(446)
 
     def test_jobs_clamped_to_cpus_and_pairs(self, monkeypatch):
         # the pool is replaced before any large job count is requested,
@@ -292,35 +293,31 @@ class TestSweep:
         assert requested == [4, 3]
 
 
-class TestVerificationError:
-    def test_structured_failure(self):
-        err = VerificationError(3, 1, {"via_whipple": "nope"})
-        assert err.k == 3 and err.m == 1
-        assert "via_whipple" in err.failures
-        assert "(k=3, m=1)" in str(err)
+class TestContainedFailure:
+    @pytest.mark.parametrize(
+        "pathway,slots",
+        [
+            ("lhs_sum", {"direct"}),
+            ("rewrite", {"via_series", "via_whipple"}),
+            ("eval_exact", {"via_series"}),
+            ("rhs_exact_terminating", {"via_whipple"}),
+        ],
+    )
+    def test_raising_pathway_fills_its_slots(self, monkeypatch, pathway, slots):
+        def failing(*args):
+            raise ArithmeticError("injected")
 
-    def test_pickle_round_trip(self):
-        err = VerificationError(3, 1, {"direct": "boom", "via_whipple": "nope"})
+        monkeypatch.setattr(sesma_identity, pathway, failing)
+        report = verify(5, 2)
+        for slot in ("direct", "via_series", "via_whipple"):
+            assert getattr(report, slot) == ("error: injected" if slot in slots else Fraction(1))
+        assert not report.all_equal_one
+
+    def test_report_with_an_error_survives_pickle(self):
+        report = IdentityReport(3, 1, "error: injected", Fraction(1), Fraction(1))
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            back = pickle.loads(pickle.dumps(err, protocol=protocol))
-            assert type(back) is VerificationError
-            assert (back.k, back.m, back.failures) == (err.k, err.m, err.failures)
-            assert str(back) == str(err)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failing_pair_raises_from_sweep(self, monkeypatch, jobs):
-        if jobs > 1 and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers see the injected fault only when they are forked")
-        real_lhs_sum = sesma_identity.lhs_sum
-
-        def failing_lhs_sum(k, m):
-            if (k, m) == (3, 1):
-                raise ArithmeticError("injected")
-            return real_lhs_sum(k, m)
-
-        monkeypatch.setattr(sesma_identity, "lhs_sum", failing_lhs_sum)
-        monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 2)
-        with pytest.raises(VerificationError) as info:
-            sweep(5, jobs=jobs)
-        assert (info.value.k, info.value.m) == (3, 1)
-        assert info.value.failures == {"direct": "injected"}
+            back = pickle.loads(pickle.dumps(report, protocol=protocol))
+            assert type(back) is IdentityReport
+            assert back == report
+            assert back.direct == "error: injected"
+            assert not back.all_equal_one
