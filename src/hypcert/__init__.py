@@ -7,17 +7,7 @@ sum identity by checking that three independent evaluation pathways agree
 exactly.
 """
 
-from .errors import (
-    DivergentSeries,
-    HypergeometricError,
-    NonConvergedWithinBudget,
-    NotRationallyFactorable,
-    NotTerminating,
-    PoleEncountered,
-    PoleInClosedForm,
-    PoleOnPath,
-    TermBudgetExceeded,
-)
+from .errors import HypergeometricError, TermBudgetExceeded
 from .exact_arith import Rational, pochhammer
 from .hyper_series import (
     Classification,
@@ -45,17 +35,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Classification",
-    "DivergentSeries",
     "HypSeries",
     "HypergeometricError",
     "IdentityReport",
     "IntPolynomial",
-    "NonConvergedWithinBudget",
-    "NotRationallyFactorable",
-    "NotTerminating",
-    "PoleEncountered",
-    "PoleInClosedForm",
-    "PoleOnPath",
     "PrefactoredSeries",
     "Rational",
     "SeriesKind",

@@ -6,8 +6,9 @@ forms), ``verify`` (one identity report), and ``sweep`` (all reports up to
 a bound).  Output formats: human table (default), json, csv.  Rationals are
 serialized as exact "p/q" strings, never floats.
 
-Exit codes: 0 success / all-pass, 1 identity violation or domain failure
-(no match, nonterminating input, pole), 2 usage or parse error.
+Exit codes: 0 success / all-pass, 1 identity violation, no match or a
+``HypergeometricError``, 2 usage error or ``ValueError`` (parse errors
+included); the README's "Errors" section gives the policy.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ class ZeroDenominator(ParseError):
     """A rational literal with denominator zero."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p", "+p", "-p", or "p/q" into a canonical rational."""
+def parse_rational(text: str, base: int = 0) -> Fraction:
+    """Parse "p", "+p", "-p", or "p/q" into a canonical rational; ``base``
+    is the byte offset of text in a longer value, added to a fault's offset."""
 
     def byte_offset(char_index: int) -> int:
-        return len(text[:char_index].encode("utf-8"))
+        return base + len(text[:char_index].encode("utf-8"))
 
     i = 0
     if i < len(text) and text[i] in "+-":
@@ -77,21 +79,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _parse_rational_list(text: str | None) -> list[Fraction]:
-    if not text:
-        return []
-    return [parse_rational(part.strip()) for part in text.split(",")]
-
-
-def _parse_int_list(text: str | None) -> list[int]:
-    if not text:
-        return []
-    out = []
-    for part in text.split(","):
-        value = parse_rational(part.strip())
-        if value.denominator != 1:
-            raise ParseError(f"expected an integer coefficient, got {part.strip()!r}", 0)
-        out.append(value.numerator)
+def _parse_list(text: str, integers: bool = False) -> list:
+    """The comma-separated rationals of an option value, or its integers;
+    a fault's byte offset counts from the start of the value."""
+    out, start = [], 0  # start: byte offset of the current part in text
+    for part in text.split(",") if text else []:
+        item = part.strip()
+        base = start + len(part[: part.index(item)].encode("utf-8"))
+        value = parse_rational(item, base)
+        if integers and value.denominator != 1:
+            raise ParseError(f"expected an integer coefficient, got {item!r}", base)
+        out.append(value.numerator if integers else value)
+        start += len(part.encode("utf-8")) + 1
     return out
 
 
@@ -105,8 +104,8 @@ def _params(s: HypSeries) -> dict:
 
 def _parse_series(args) -> HypSeries:
     return HypSeries(
-        _parse_rational_list(args.upper),
-        _parse_rational_list(args.lower),
+        _parse_list(args.upper),
+        _parse_list(args.lower),
         parse_rational(args.z),
     )
 
@@ -166,18 +165,15 @@ def _emit_table(doc: dict, out) -> None:
         out.write(f"{key}: {_csv_cell(value)}\n")
 
 
-# Each _cmd_* returns (exit code, inputs, results, summary); run() builds
-# the document from them.
+# Each _cmd_* fills the inputs dict it is given before any work that can
+# fail, then returns (exit code, results, summary); run() builds the
+# document from them, and the error document of a HypergeometricError.
 
 
-def _cmd_eval(args):
+def _cmd_eval(args, inputs):
     series = _parse_series(args)
     cls = classify(series)
-    inputs = {
-        **_params(series),
-        "numeric": bool(args.numeric),
-        "tol": args.tol if args.numeric else None,
-    }
+    inputs.update(_params(series), numeric=bool(args.numeric), tol=args.tol if args.numeric else None)
     result = {**_params(series.canonical()), "classification": str(cls)}
     status = "ok"
     exit_code = 0
@@ -191,32 +187,25 @@ def _cmd_eval(args):
         status = f"error: {exc}"
         exit_code = 1
     summary = {"classification": {"kind": cls.kind.value, "index": cls.index}, "status": status}
-    return exit_code, inputs, [result], summary
+    return exit_code, [result], summary
 
 
-def _cmd_recognize(args):
-    num = IntPolynomial(_parse_int_list(args.num))
-    den = IntPolynomial(_parse_int_list(args.den))
+def _cmd_recognize(args, inputs):
+    num = IntPolynomial(_parse_list(args.num, integers=True))
+    den = IntPolynomial(_parse_list(args.den, integers=True))
     t0 = parse_rational(args.t0)
-    inputs = {
-        "num": list(num.coefficients),
-        "den": list(den.coefficients),
-        "t0": str(t0),
-    }
-    try:
-        recognized = recognize(TermRatio(num=num, den=den, t0=t0))
-    except (HypergeometricError, ValueError) as exc:
-        return 1, inputs, [], {"status": f"error: {exc}"}
+    inputs.update(num=list(num.coefficients), den=list(den.coefficients), t0=str(t0))
+    recognized = recognize(TermRatio(num=num, den=den, t0=t0))
     result = {"prefactor": str(recognized.prefactor), **_params(recognized.series.canonical())}
-    return 0, inputs, [result], {"status": "ok"}
+    return 0, [result], {"status": "ok"}
 
 
-def _cmd_whipple(args):
+def _cmd_whipple(args, inputs):
     series = _parse_series(args)
-    inputs = _params(series)
+    inputs.update(_params(series))
     match = match_whipple(series)
     if match is None:
-        return 1, inputs, [], {"status": "no-match"}
+        return 1, [], {"status": "no-match"}
     result: dict = {"a": str(match.a), "b": str(match.b), "c": str(match.c)}
     try:
         result["exact"] = str(rhs_exact_terminating(match))
@@ -227,28 +216,22 @@ def _cmd_whipple(args):
     try:
         result["numeric"] = rhs_numeric(match)
         result["numeric_note"] = None
-    except ValueError as exc:
+    except HypergeometricError as exc:
         result["numeric"] = None
         result["numeric_note"] = str(exc)
-    return 0, inputs, [result], {"status": "matched"}
+    return 0, [result], {"status": "matched"}
 
 
-def _cmd_verify(args):
-    inputs = {"k": args.k, "m": args.m}
-    try:
-        report = run_verify(args.k, args.m)
-    except HypergeometricError as exc:
-        return 1, inputs, [], {"status": f"error: {exc}"}
+def _cmd_verify(args, inputs):
+    inputs.update(k=args.k, m=args.m)
+    report = run_verify(args.k, args.m)
     summary = {"all_equal_one": report.all_equal_one}
-    return (0 if report.all_equal_one else 1), inputs, [_report_fields(report)], summary
+    return (0 if report.all_equal_one else 1), [_report_fields(report)], summary
 
 
-def _cmd_sweep(args):
-    inputs = {"max_k": args.max_k}
-    try:
-        reports = run_sweep(args.max_k, jobs=args.jobs)
-    except HypergeometricError as exc:
-        return 1, inputs, [], {"status": f"error: {exc}"}
+def _cmd_sweep(args, inputs):
+    inputs["max_k"] = args.max_k
+    reports = run_sweep(args.max_k, jobs=args.jobs)
     passed = sum(1 for r in reports if r.all_equal_one)
     all_pass = passed == len(reports)
     summary = {
@@ -258,7 +241,7 @@ def _cmd_sweep(args):
         "line": f"{passed}/{len(reports)} pass",
     }
     # jobs is deliberately not echoed: output bytes must not depend on it
-    return (0 if all_pass else 1), inputs, [_report_fields(r) for r in reports], summary
+    return (0 if all_pass else 1), [_report_fields(r) for r in reports], summary
 
 
 _SIGNED_VALUE = re.compile(r"^-\d")
@@ -336,12 +319,15 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         # argparse already printed usage/version to the right stream
         return int(exc.code or 0)
+    inputs: dict = {}
     try:
-        exit_code, inputs, results, summary = args.func(args)
+        exit_code, results, summary = args.func(args, inputs)
     except ValueError as exc:  # ParseError included
         err.write(f"error: {exc}\n")
         parser.print_usage(err)
         return 2
+    except HypergeometricError as exc:
+        exit_code, results, summary = 1, [], {"status": f"error: {exc}"}
     doc = {"command": args.command, "inputs": inputs, "results": results, "summary": summary}
     _emit(doc, args.format, out)
     return exit_code

@@ -15,13 +15,7 @@ from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    DivergentSeries,
-    NonConvergedWithinBudget,
-    NotTerminating,
-    PoleEncountered,
-    TermBudgetExceeded,
-)
+from .errors import HypergeometricError, TermBudgetExceeded
 from .exact_arith import Rational, is_nonpositive_integer
 from .record import Record
 
@@ -187,9 +181,9 @@ def eval_exact(s: HypSeries) -> Rational:
     """
     cls = classify(s)
     if cls.kind is SeriesKind.ILL_POSED:
-        raise PoleEncountered(f"lower-parameter pole at index {cls.index} in {s}")
+        raise HypergeometricError(f"lower-parameter pole at index {cls.index} in {s}")
     if cls.kind is not SeriesKind.TERMINATING:
-        raise NotTerminating(f"series {s} is {cls}, exact summation needs termination")
+        raise HypergeometricError(f"series {s} is {cls}, exact summation needs termination")
     n_terms = cls.index  # sum runs n = 0..N
     _check_term_budget(s, n_terms)
     up = [(a.numerator, a.denominator) for a in s.upper]
@@ -229,9 +223,9 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
         raise ValueError(f"tolerance must be positive, got {tol}")
     cls = classify(s)
     if cls.kind is SeriesKind.ILL_POSED:
-        raise PoleEncountered(f"lower-parameter pole at index {cls.index} in {s}")
+        raise HypergeometricError(f"lower-parameter pole at index {cls.index} in {s}")
     if cls.kind is SeriesKind.DIVERGENT:
-        raise DivergentSeries(f"series {s} diverges at z = {s.z}")
+        raise HypergeometricError(f"series {s} diverges at z = {s.z}")
 
     upper = [float(a) for a in s.upper]
     lower = [float(b) for b in s.lower]
@@ -260,7 +254,7 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
                     return total
             else:
                 small_streak = 0
-    raise NonConvergedWithinBudget(
+    raise HypergeometricError(
         f"no convergence after {max_terms} terms of {s} at tolerance {tol}"
     )
 

@@ -19,7 +19,7 @@ import math
 import os
 from fractions import Fraction
 
-from .errors import TermBudgetExceeded
+from .errors import HypergeometricError, TermBudgetExceeded
 from .exact_arith import Rational
 from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries, eval_exact
 from .record import Record
@@ -76,9 +76,12 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"m must be nonnegative, got {m}")
     if k < m:
         raise ValueError(f"the identity requires k >= m, got k = {k}, m = {m}")
-    # every pathway takes m steps; refuse before the first one
+    # every pathway takes m steps on integers that grow with k; refuse
+    # either over the budget before the first step
     if m > DEFAULT_MAX_TERMS:
         raise TermBudgetExceeded(f"m = {m} is over the budget of {DEFAULT_MAX_TERMS} steps")
+    if k > DEFAULT_MAX_TERMS:
+        raise TermBudgetExceeded(f"k = {k} is over the budget of {DEFAULT_MAX_TERMS}")
 
 
 def lhs_term(k: int, m: int, n: int) -> Rational:
@@ -159,7 +162,7 @@ def verify(k: int, m: int) -> IdentityReport:
 
     A pathway that raises reports ``error: <message>`` in its slot, and the
     others still run; if ``rewrite`` raises, its message fills both slots
-    that depend on it.  An m above ``DEFAULT_MAX_TERMS`` is refused with
+    that depend on it.  An m or k above ``DEFAULT_MAX_TERMS`` is refused with
     :class:`TermBudgetExceeded` before any pathway runs.
     """
     _check_km(k, m)
@@ -181,7 +184,7 @@ def verify(k: int, m: int) -> IdentityReport:
     try:
         match = match_whipple(prefactored.series)
         if match is None or (match.a, match.b, match.c) != (k + 1, -m, m + 1):
-            raise ValueError(f"matched {match}, expected (a, b, c) = ({k + 1}, {-m}, {m + 1})")
+            raise HypergeometricError(f"matched {match}, expected (a, b, c) = ({k + 1}, {-m}, {m + 1})")
         via_whipple = prefactored.prefactor * rhs_exact_terminating(match)
     except Exception as exc:
         via_whipple = f"error: {exc}"

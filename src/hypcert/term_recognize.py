@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .errors import NotRationallyFactorable, PoleOnPath, TermBudgetExceeded
+from .errors import HypergeometricError, TermBudgetExceeded
 from .exact_arith import Rational
 from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries
 from .record import Record
@@ -173,7 +173,7 @@ class TermRatio(Record):
 
     def __init__(self, num: IntPolynomial, den: IntPolynomial, t0) -> None:
         if den.is_zero:
-            raise ValueError("term-ratio denominator must not be the zero polynomial")
+            raise HypergeometricError("term-ratio denominator must not be the zero polynomial")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "t0", Fraction(t0))
@@ -193,7 +193,7 @@ def term_at(r: TermRatio, n: int) -> Rational:
     for j in range(n):
         q = r.den(j)
         if q == 0:
-            raise PoleOnPath(f"denominator vanishes at n = {j}")
+            raise HypergeometricError(f"denominator vanishes at n = {j}")
         value = value * r.num(j) / q
     return value
 
@@ -213,7 +213,7 @@ def recognize(r: TermRatio) -> PrefactoredSeries:
     that they cancel too.  Parameters are reported sorted ascending.
     """
     if r.num.is_zero:
-        raise ValueError("zero ratio numerator: the term dies at n = 0 and has no pFq shape")
+        raise HypergeometricError("zero ratio numerator: the term dies at n = 0 and has no pFq shape")
     p_roots, p_rest = _split(r.num)
     q_roots, q_rest = _split(r.den)
     if not _proportional(p_rest, q_rest):
@@ -222,7 +222,7 @@ def recognize(r: TermRatio) -> PrefactoredSeries:
         coeffs = list(poly.coefficients)
         for root in (p_roots & q_roots).elements():
             coeffs = _deflate(coeffs, root)
-        raise NotRationallyFactorable(f"{side} {IntPolynomial(coeffs)} has an irreducible nonlinear cofactor")
+        raise HypergeometricError(f"{side} {IntPolynomial(coeffs)} has an irreducible nonlinear cofactor")
     upper_roots, lower_roots = p_roots - q_roots, q_roots - p_roots
 
     # poles on the summation path: the ORIGINAL denominator must not vanish
@@ -232,7 +232,7 @@ def recognize(r: TermRatio) -> PrefactoredSeries:
     n_term = min((int(x) for x in upper_roots if x.denominator == 1 and x >= 0), default=None)
     for root in sorted(q_roots):
         if root.denominator == 1 and root >= 0 and (n_term is None or root < n_term):
-            raise PoleOnPath(f"denominator vanishes at n = {root}")
+            raise HypergeometricError(f"denominator vanishes at n = {root}")
 
     upper = [-root for root in upper_roots.elements()]
     lower = [-root for root in lower_roots.elements()]

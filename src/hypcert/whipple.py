@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotTerminating, PoleInClosedForm, TermBudgetExceeded
-from .exact_arith import Rational, is_nonpositive_integer, pochhammer
+from .errors import HypergeometricError, TermBudgetExceeded
+from .exact_arith import Rational, is_nonpositive_integer
 from .hyper_series import DEFAULT_MAX_TERMS, HypSeries
 from .record import Record
 
@@ -88,15 +88,20 @@ def rhs_exact_terminating(m: WhippleMatch) -> Rational:
     b, c = m.b, m.c
     if not is_nonpositive_integer(b):
         if not is_nonpositive_integer(c):
-            raise NotTerminating(f"neither b = {b} nor c = {c} is a nonpositive integer")
+            raise HypergeometricError(f"neither b = {b} nor c = {c} is a nonpositive integer")
         b, c = c, b
     shift = -int(b)
     if shift > DEFAULT_MAX_TERMS:
         raise TermBudgetExceeded(f"closed form needs {shift} Pochhammer steps, over the budget of {DEFAULT_MAX_TERMS}")
-    denominator = pochhammer(m.a - c + 1, shift)
-    if denominator == 0:
-        raise PoleInClosedForm(f"({m.a - c + 1})_{shift} = 0 in the closed form")
-    return pochhammer(m.a + 1, shift) / denominator
+    # one integer ratio of the two products, reduced once
+    (p, q), (r, t) = (m.a + 1).as_integer_ratio(), (m.a - c + 1).as_integer_ratio()
+    num = den = 1
+    for j in range(shift):
+        num *= p + j * q
+        den *= r + j * t
+    if den == 0:
+        raise HypergeometricError(f"({m.a - c + 1})_{shift} = 0 in the closed form")
+    return Fraction(num * t**shift, den * q**shift)
 
 
 # Lanczos approximation with g = 607/128 and 15 coefficients (the classic
@@ -149,6 +154,6 @@ def rhs_numeric(m: WhippleMatch) -> float:
     """
     args = (m.a - m.b + 1, m.a - m.c + 1, m.a + 1, m.a - m.b - m.c + 1)
     if any(arg <= 0 for arg in args):
-        raise ValueError(f"nonpositive Gamma argument among {tuple(str(a) for a in args)}")
+        raise HypergeometricError(f"nonpositive Gamma argument among {tuple(str(a) for a in args)}")
     num1, num2, den1, den2 = (float(arg) for arg in args)
     return math.exp(log_gamma(num1) + log_gamma(num2) - log_gamma(den1) - log_gamma(den2))

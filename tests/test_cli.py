@@ -323,6 +323,20 @@ class TestUsageErrors:
         code, _, _ = invoke(["eval", "--upper", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval", "--upper", "1,2,x", "--z", "1"], "expected a digit (byte offset 4)"),
+            (["eval", "--upper", "1,2,3/0", "--z", "1"], "denominator must be nonzero (byte offset 6)"),
+            (["eval", "--upper", "1, x", "--z", "1"], "expected a digit (byte offset 3)"),
+            (["recognize", "--num", "1,2,1/2", "--den", "1"], "expected an integer coefficient, got '1/2' (byte offset 4)"),
+        ],
+    )
+    def test_list_item_offset_counts_from_the_value_start(self, argv, message):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}\n")
+
     def test_global_format_position(self):
         code_before, out_before, _ = invoke(["--format", "json", "verify", "2", "1"])
         code_after, out_after, _ = invoke(["verify", "2", "1", "--format", "json"])

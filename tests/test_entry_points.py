@@ -61,6 +61,14 @@ def test_oversized_verify_exits_one_without_hanging():
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
 
 
+def test_verify_with_a_huge_k_exits_one_without_hanging():
+    argv = ["verify", "9" * 4000, "3000"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 1
+    assert b"is over the budget of 100000" in proc.stdout
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
 def test_oversized_whipple_closed_form_exits_zero_without_hanging():
     # b = -10^9: the exact closed form is refused, the numeric one still runs
     argv = ["whipple", "--upper", "2,2,-1000000000,1/2", "--lower", "1,1000000003,5/2", "--z", "-1", "--format", "json"]

@@ -219,10 +219,19 @@ class TestVerify:
 
         monkeypatch.setattr(sesma_identity, "lhs_sum", recording_lhs_sum)
         monkeypatch.setattr(sesma_identity, "DEFAULT_MAX_TERMS", 3)
-        assert verify(5, 3).all_equal_one
+        assert verify(3, 3).all_equal_one
         with pytest.raises(TermBudgetExceeded, match="m = 4 is over the budget of 3 steps"):
-            verify(5, 4)
-        assert calls == [(5, 3)]
+            verify(4, 4)
+        assert calls == [(3, 3)]
+
+    def test_k_over_the_budget_refused(self, monkeypatch):
+        monkeypatch.setattr(sesma_identity, "DEFAULT_MAX_TERMS", 5)
+        assert verify(5, 3).all_equal_one
+        with pytest.raises(TermBudgetExceeded, match="^k = 6 is over the budget of 5$"):
+            verify(6, 3)
+        # m is checked first, so an m over the budget names m
+        with pytest.raises(TermBudgetExceeded, match="^m = 6 is over"):
+            verify(7, 6)
 
 
 class TestSweep:
