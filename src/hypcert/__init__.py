@@ -8,7 +8,6 @@ exactly.
 """
 
 from .errors import HypergeometricError, TermBudgetExceeded
-from .exact_arith import Rational, pochhammer
 from .hyper_series import (
     Classification,
     HypSeries,
@@ -18,6 +17,7 @@ from .hyper_series import (
     eval_exact,
     eval_numeric,
     parametric_excess,
+    pochhammer,
 )
 from .sesma_identity import (
     IdentityReport,
@@ -40,7 +40,6 @@ __all__ = [
     "IdentityReport",
     "IntPolynomial",
     "PrefactoredSeries",
-    "Rational",
     "SeriesKind",
     "TermBudgetExceeded",
     "TermRatio",

@@ -6,6 +6,7 @@ t_0 = 1, t_{n+1} = t_n * prod(a_i + n) / prod(b_j + n) * z / (n + 1).
 
 Terminating series are summed exactly in rational arithmetic; convergent
 nonterminating series can be summed numerically with a tolerance gate.
+Values are ``Fraction``; floats appear only on the numeric paths.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import HypergeometricError, TermBudgetExceeded
-from .exact_arith import Rational, is_nonpositive_integer
 from .record import Record
 
 __all__ = [
@@ -29,9 +29,29 @@ __all__ = [
     "eval_exact",
     "eval_numeric",
     "DEFAULT_MAX_TERMS",
+    "pochhammer",
 ]
 
 DEFAULT_MAX_TERMS = 100_000
+
+
+def pochhammer(x: Fraction | int, n: int) -> Fraction:
+    """Rising factorial x(x+1)...(x+n-1) of an int or Fraction x; equals 1
+    for n = 0."""
+    if n < 0:
+        raise ValueError(f"pochhammer shift must be nonnegative, got {n}")
+    # (p/q + j) = (p + j*q)/q: one integer product plus a constant power of q.
+    p, q = x.numerator, x.denominator
+    num = 1
+    for j in range(n):
+        num *= p + j * q
+    return Fraction(num, q**n)
+
+
+def is_nonpositive_integer(x: Fraction | int) -> bool:
+    """True when the int or Fraction x is an integer <= 0 (the series
+    termination/pole test)."""
+    return x.denominator == 1 and x.numerator <= 0
 
 
 def _as_fraction(value) -> Fraction:
@@ -152,7 +172,7 @@ def classify(s: HypSeries) -> Classification:
     return Classification(SeriesKind.CONVERGENT if good else SeriesKind.DIVERGENT)
 
 
-def parametric_excess(s: HypSeries) -> Rational:
+def parametric_excess(s: HypSeries) -> Fraction:
     """(sum of lower parameters) - (sum of upper parameters)."""
     return sum(s.lower, Fraction(0)) - sum(s.upper, Fraction(0))
 
@@ -164,7 +184,7 @@ def _check_term_budget(s: HypSeries, n_terms: int) -> None:
         )
 
 
-def eval_exact(s: HypSeries) -> Rational:
+def eval_exact(s: HypSeries) -> Fraction:
     """Exact rational sum of a terminating series.
 
     A series whose termination index N exceeds ``DEFAULT_MAX_TERMS`` is
@@ -208,7 +228,7 @@ def eval_exact(s: HypSeries) -> Rational:
     return Fraction(acc_num, acc_den)
 
 
-def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def eval_numeric(s: HypSeries, tol: float) -> float:
     """Floating-point sum with compensated (Kahan) accumulation.
 
     Terminating series sum their N+1 terms outright; an N above
@@ -216,8 +236,8 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
     :func:`eval_exact` refuses it.  Nonterminating convergent series stop
     once three consecutive terms fall below tol * max(1, |partial sum|); a
     single small term is not trusted because alternating series at z = -1
-    can have one accidental near-cancellation.  ``max_terms`` caps only
-    this convergent sum.
+    can have one accidental near-cancellation.  A nonterminating sum is
+    stopped and refused after ``DEFAULT_MAX_TERMS`` terms.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -237,7 +257,7 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
     comp = 0.0
     term = 1.0
     small_streak = 0
-    for n in range(max_terms if cls.index is None else cls.index + 1):
+    for n in range(DEFAULT_MAX_TERMS if cls.index is None else cls.index + 1):
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -255,6 +275,6 @@ def eval_numeric(s: HypSeries, tol: float, max_terms: int = DEFAULT_MAX_TERMS) -
             else:
                 small_streak = 0
     raise HypergeometricError(
-        f"no convergence after {max_terms} terms of {s} at tolerance {tol}"
+        f"no convergence after {DEFAULT_MAX_TERMS} terms of {s} at tolerance {tol}"
     )
 

@@ -20,7 +20,6 @@ import os
 from fractions import Fraction
 
 from .errors import HypergeometricError, TermBudgetExceeded
-from .exact_arith import Rational
 from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries, eval_exact
 from .record import Record
 from .term_recognize import IntPolynomial, TermRatio
@@ -84,7 +83,7 @@ def _check_km(k: int, m: int) -> None:
         raise TermBudgetExceeded(f"k = {k} is over the budget of {DEFAULT_MAX_TERMS}")
 
 
-def lhs_term(k: int, m: int, n: int) -> Rational:
+def lhs_term(k: int, m: int, n: int) -> Fraction:
     """Term n of the binomial sum, for k >= m >= n >= 0."""
     _check_km(k, m)
     if n < 0 or n > m:
@@ -94,7 +93,7 @@ def lhs_term(k: int, m: int, n: int) -> Rational:
     return Fraction(num, den)
 
 
-def lhs_sum(k: int, m: int) -> Rational:
+def lhs_sum(k: int, m: int) -> Fraction:
     """Exact value of the full binomial sum over n = 0..m.
 
     The terms are put over the common denominator (k+2m+1)!/k!, where term n
@@ -102,25 +101,24 @@ def lhs_sum(k: int, m: int) -> Rational:
 
         T_n = C(m,n) C(k+n,m) (m+n)! (k+2m+1)! / (k+m+n+1)!.
 
-    T_n is carried as one integer.  The recurrences of its three factors
-    C(m,n), C(k+n,m) and the weight give
+    The recurrences of its three factors C(m,n), C(k+n,m) and the weight
+    give T_{n+1} = T_n a_n / b_n with
 
-        T_{n+1} = T_n (m-n)(k+n+1)(m+n+1) / ((n+1)(k-m+n+1)(k+m+n+2)),
+        a_n = (m-n)(k+n+1)(m+n+1),  b_n = (n+1)(k-m+n+1)(k+m+n+2),
 
-    so each step multiplies it by one small integer and divides it exactly
-    by another.  The (2n+k+1) factor is applied per term; nothing here
-    uses the term ratio of :func:`sesma_ratio`.  Equal to
-    sum(lhs_term(k, m, n)) by construction.
+    so the sum is T_0 (w_0 + a_0/b_0 (w_1 + ... (w_m))) with w_n = 2n+k+1.
+    It is taken in that nested form from the last term back, carrying the
+    inner value as one integer fraction A/D: D <- b_n D, A <- w_n D + a_n A.
+    No step divides; nothing here uses the term ratio of
+    :func:`sesma_ratio`.  Equal to sum(lhs_term(k, m, n)) by construction.
     """
     _check_km(k, m)
-    carried = math.perm(k, m) * math.perm(k + 2 * m + 1, m)  # T_0
-    total = 0
-    for n in range(m + 1):
-        total += carried * (2 * n + k + 1)
-        carried = carried * ((m - n) * (k + n + 1) * (m + n + 1)) // (
-            (n + 1) * (k - m + n + 1) * (k + m + n + 2)
-        )
-    return Fraction(total, math.perm(k + 2 * m + 1, 2 * m + 1))
+    acc_num, acc_den = 2 * m + k + 1, 1
+    for n in range(m - 1, -1, -1):
+        acc_den *= (n + 1) * (k - m + n + 1) * (k + m + n + 2)
+        acc_num = (2 * n + k + 1) * acc_den + (m - n) * (k + n + 1) * (m + n + 1) * acc_num
+    t0 = math.perm(k, m) * math.perm(k + 2 * m + 1, m)
+    return Fraction(t0 * acc_num, acc_den * math.perm(k + 2 * m + 1, 2 * m + 1))
 
 
 def sesma_ratio(k: int, m: int) -> TermRatio:

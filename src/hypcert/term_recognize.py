@@ -14,12 +14,12 @@ the role of the n! factor of the pFq normal form; if it is missing, an
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import HypergeometricError, TermBudgetExceeded
-from .exact_arith import Rational
 from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries
 from .record import Record
 
@@ -70,7 +70,7 @@ class IntPolynomial(Record):
             return 0
         return self.coefficients[-1]
 
-    def __call__(self, x: Rational | int) -> Rational:
+    def __call__(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * x + c
@@ -140,7 +140,10 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
 
     Candidates come from the rational-root theorem (divisors of the trailing
     nonzero coefficient over divisors of the leading one, both signs); each
-    confirmed root is divided out until it no longer divides.
+    confirmed root is divided out until it no longer divides.  The divisor
+    scan (sqrt |c| steps per coefficient c) and then the candidate count are
+    each refused with :class:`TermBudgetExceeded` when over
+    ``DEFAULT_MAX_TERMS``.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
@@ -153,9 +156,14 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
         return roots, coeffs
     # candidates once, from p without its zero roots: dividing out roots
     # only shrinks the set
-    candidates = {
-        Fraction(sign * c, l) for c in _divisors(coeffs[0]) for l in _divisors(coeffs[-1]) for sign in (1, -1)
-    }
+    if math.isqrt(abs(coeffs[0])) + math.isqrt(abs(coeffs[-1])) > DEFAULT_MAX_TERMS:
+        raise TermBudgetExceeded(
+            f"divisor scan of {coeffs[0]} and {coeffs[-1]} is over the budget of {DEFAULT_MAX_TERMS} steps"
+        )
+    trailing, leading = _divisors(coeffs[0]), _divisors(coeffs[-1])
+    if (n_candidates := 2 * len(trailing) * len(leading)) > DEFAULT_MAX_TERMS:
+        raise TermBudgetExceeded(f"{n_candidates} root candidates are over the budget of {DEFAULT_MAX_TERMS}")
+    candidates = {Fraction(sign * c, l) for c in trailing for l in leading for sign in (1, -1)}
     for root in sorted(candidates):
         while len(coeffs) > 1 and (quotient := _deflate(coeffs, root)) is not None:
             coeffs = quotient
@@ -179,7 +187,7 @@ class TermRatio(Record):
         object.__setattr__(self, "t0", Fraction(t0))
 
 
-def term_at(r: TermRatio, n: int) -> Rational:
+def term_at(r: TermRatio, n: int) -> Fraction:
     """t_n = t0 * prod_{j<n} num(j)/den(j), evaluated exactly.
 
     An index n above ``DEFAULT_MAX_TERMS`` is refused with

@@ -16,8 +16,7 @@ import math
 from fractions import Fraction
 
 from .errors import HypergeometricError, TermBudgetExceeded
-from .exact_arith import Rational, is_nonpositive_integer
-from .hyper_series import DEFAULT_MAX_TERMS, HypSeries
+from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, is_nonpositive_integer
 from .record import Record
 
 __all__ = ["WhippleMatch", "match_whipple", "rhs_exact_terminating", "log_gamma", "rhs_numeric"]
@@ -77,7 +76,7 @@ def match_whipple(s: HypSeries) -> WhippleMatch | None:
     return None
 
 
-def rhs_exact_terminating(m: WhippleMatch) -> Rational:
+def rhs_exact_terminating(m: WhippleMatch) -> Fraction:
     """Closed form for a terminating match, reduced to a Pochhammer ratio.
 
     With b = -M the Gamma ratio collapses to (a+1)_M / (a-c+1)_M; the right
@@ -95,10 +94,7 @@ def rhs_exact_terminating(m: WhippleMatch) -> Rational:
         raise TermBudgetExceeded(f"closed form needs {shift} Pochhammer steps, over the budget of {DEFAULT_MAX_TERMS}")
     # one integer ratio of the two products, reduced once
     (p, q), (r, t) = (m.a + 1).as_integer_ratio(), (m.a - c + 1).as_integer_ratio()
-    num = den = 1
-    for j in range(shift):
-        num *= p + j * q
-        den *= r + j * t
+    num, den = math.prod(range(p, p + shift * q, q)), math.prod(range(r, r + shift * t, t))
     if den == 0:
         raise HypergeometricError(f"({m.a - c + 1})_{shift} = 0 in the closed form")
     return Fraction(num * t**shift, den * q**shift)

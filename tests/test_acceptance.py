@@ -14,8 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from hypcert.cli import run
-from hypcert.exact_arith import pochhammer
-from hypcert.hyper_series import HypSeries, classify, eval_exact, eval_numeric
+from hypcert.hyper_series import HypSeries, classify, eval_exact, eval_numeric, pochhammer
 from hypcert.sesma_identity import rewrite, sesma_ratio, sweep
 from hypcert.term_recognize import recognize
 from hypcert.whipple import WhippleMatch, log_gamma, rhs_exact_terminating, rhs_numeric

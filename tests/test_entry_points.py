@@ -69,6 +69,21 @@ def test_verify_with_a_huge_k_exits_one_without_hanging():
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
 
 
+@pytest.mark.parametrize(
+    "num,message",
+    [
+        ("10000000000000000,1", b"status: error: divisor scan of 10000000000000000 and 1 is over the budget"),
+        ("735134400,0,735134400", b"status: error: 3612672 root candidates are over the budget"),
+    ],
+)
+def test_recognize_with_huge_coefficients_exits_one_without_hanging(num, message):
+    argv = ["recognize", "--num", num, "--den", "1,1"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 1
+    assert message in proc.stdout
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
 def test_oversized_whipple_closed_form_exits_zero_without_hanging():
     # b = -10^9: the exact closed form is refused, the numeric one still runs
     argv = ["whipple", "--upper", "2,2,-1000000000,1/2", "--lower", "1,1000000003,5/2", "--z", "-1", "--format", "json"]

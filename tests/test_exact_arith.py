@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hypcert.exact_arith import is_nonpositive_integer, pochhammer
+from hypcert.hyper_series import is_nonpositive_integer, pochhammer
 
 
 rationals = st.fractions(

@@ -9,8 +9,7 @@ import pytest
 
 from hypcert import sesma_identity
 from hypcert.errors import TermBudgetExceeded
-from hypcert.exact_arith import pochhammer
-from hypcert.hyper_series import eval_exact
+from hypcert.hyper_series import eval_exact, pochhammer
 from hypcert.sesma_identity import (
     IdentityReport,
     lhs_sum,

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypcert import term_recognize
 from hypcert.errors import HypergeometricError, TermBudgetExceeded
-from hypcert.exact_arith import pochhammer
+from hypcert.hyper_series import pochhammer
+from hypcert.sesma_identity import sesma_ratio
 from hypcert.term_recognize import (
     IntPolynomial,
     TermRatio,
@@ -243,6 +244,27 @@ class TestRecognize:
         )
         with pytest.raises(HypergeometricError, match="^denominator vanishes at n = "):
             recognize(ratio)
+
+    def test_divisor_scan_up_to_the_budget(self, monkeypatch):
+        # sqrt steps: isqrt(81) + isqrt(1) = 10, isqrt(100) + isqrt(1) = 11
+        monkeypatch.setattr(term_recognize, "DEFAULT_MAX_TERMS", 10)
+        den = IntPolynomial([1, 1])
+        assert recognize(TermRatio(IntPolynomial([81, 1]), den, 1)).series.upper == (81,)
+        with pytest.raises(TermBudgetExceeded, match="^divisor scan of 100 and 1 is over the budget of 10 steps$"):
+            recognize(TermRatio(IntPolynomial([100, 1]), den, 1))
+
+    def test_root_candidates_up_to_the_budget(self, monkeypatch):
+        # 12 has 6 divisors and 1 has one: 2 * 6 * 1 = 12 signed candidates
+        ratio = TermRatio(IntPolynomial([12, 1]), IntPolynomial([1, 1]), 1)
+        monkeypatch.setattr(term_recognize, "DEFAULT_MAX_TERMS", 12)
+        assert recognize(ratio).series.upper == (12,)
+        monkeypatch.setattr(term_recognize, "DEFAULT_MAX_TERMS", 11)
+        with pytest.raises(TermBudgetExceeded, match="^12 root candidates are over the budget of 11$"):
+            recognize(ratio)
+
+    def test_identity_ratios_stay_inside_the_budget(self):
+        # P(0) = m(k+1)(m+1)(k+3) is largest on the diagonal
+        assert recognize(sesma_ratio(300, 300)).series.upper[0] == -300
 
     def test_parameter_counts(self):
         # with the n! factor present in Q: |upper| = deg P, |lower| = deg Q - 1
