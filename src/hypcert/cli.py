@@ -110,6 +110,14 @@ def _parse_series(args) -> HypSeries:
     )
 
 
+def _exact_text(value: Fraction) -> str:
+    """str(value); past the int-to-str digit limit, a HypergeometricError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise HypergeometricError(f"exact value too long to print (over {sys.get_int_max_str_digits()} digits)") from None
+
+
 def _report_fields(report: IdentityReport) -> dict:
     return {
         "k": report.k,
@@ -181,7 +189,7 @@ def _cmd_eval(args, inputs):
         if args.numeric:
             result["value"] = eval_numeric(series, args.tol)
         else:
-            result["value"] = str(eval_exact(series))
+            result["value"] = _exact_text(eval_exact(series))
     except HypergeometricError as exc:
         result["value"] = None
         status = f"error: {exc}"
@@ -208,7 +216,7 @@ def _cmd_whipple(args, inputs):
         return 1, [], {"status": "no-match"}
     result: dict = {"a": str(match.a), "b": str(match.b), "c": str(match.c)}
     try:
-        result["exact"] = str(rhs_exact_terminating(match))
+        result["exact"] = _exact_text(rhs_exact_terminating(match))
         result["exact_note"] = None
     except HypergeometricError as exc:
         result["exact"] = None

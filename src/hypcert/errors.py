@@ -5,9 +5,12 @@ a tolerance <= 0, or bad rational text.  The CLI maps it to exit code 2.
 
 A :class:`HypergeometricError` means a well-formed input with no answer: a
 series that does not terminate or diverges, a pole, a term ratio with no
-pFq shape, a closed form outside its regime.  The CLI maps it to exit
-code 1.  Its one subclass, :class:`TermBudgetExceeded`, is the refusal of
-work over ``DEFAULT_MAX_TERMS`` steps.
+pFq shape, a closed form outside its regime, a value too long to print.
+The CLI maps it to exit code 1.  Its subclass :class:`TermBudgetExceeded`
+comes only from ``hyper_series.check_budget``: ``<count> = <n> is over the
+budget of <DEFAULT_MAX_TERMS> steps``, before the first step, in eval_exact,
+eval_numeric, verify (m, then k), sweep, rhs_exact_terminating, recognize
+(divisor scan, then root candidates) and term_at.
 """
 
 
@@ -16,4 +19,4 @@ class HypergeometricError(Exception):
 
 
 class TermBudgetExceeded(HypergeometricError):
-    """A terminating series or term index needs more steps than the term budget."""
+    """Work over the term budget, refused before its first step."""

@@ -35,6 +35,12 @@ __all__ = [
 DEFAULT_MAX_TERMS = 100_000
 
 
+def check_budget(steps: int, what: str) -> None:
+    """Refuse work of more than DEFAULT_MAX_TERMS steps; ``what`` names the count."""
+    if steps > DEFAULT_MAX_TERMS:
+        raise TermBudgetExceeded(f"{what} = {steps} is over the budget of {DEFAULT_MAX_TERMS} steps")
+
+
 def pochhammer(x: Fraction | int, n: int) -> Fraction:
     """Rising factorial x(x+1)...(x+n-1) of an int or Fraction x; equals 1
     for n = 0."""
@@ -177,13 +183,6 @@ def parametric_excess(s: HypSeries) -> Fraction:
     return sum(s.lower, Fraction(0)) - sum(s.upper, Fraction(0))
 
 
-def _check_term_budget(s: HypSeries, n_terms: int) -> None:
-    if n_terms > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(
-            f"series {s} terminates after {n_terms} steps, over the budget of {DEFAULT_MAX_TERMS}"
-        )
-
-
 def eval_exact(s: HypSeries) -> Fraction:
     """Exact rational sum of a terminating series.
 
@@ -205,7 +204,7 @@ def eval_exact(s: HypSeries) -> Fraction:
     if cls.kind is not SeriesKind.TERMINATING:
         raise HypergeometricError(f"series {s} is {cls}, exact summation needs termination")
     n_terms = cls.index  # sum runs n = 0..N
-    _check_term_budget(s, n_terms)
+    check_budget(n_terms, "termination index")
     up = [(a.numerator, a.denominator) for a in s.upper]
     lo = [(b.numerator, b.denominator) for b in s.lower]
     # t_{n+1}/t_n = P(n)/Q(n) with
@@ -252,7 +251,7 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
     z = float(s.z)
 
     if cls.kind is SeriesKind.TERMINATING:
-        _check_term_budget(s, cls.index)
+        check_budget(cls.index, "termination index")
     total = 0.0
     comp = 0.0
     term = 1.0

@@ -19,8 +19,8 @@ import math
 import os
 from fractions import Fraction
 
-from .errors import HypergeometricError, TermBudgetExceeded
-from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries, eval_exact
+from .errors import HypergeometricError
+from .hyper_series import HypSeries, PrefactoredSeries, check_budget, eval_exact
 from .record import Record
 from .term_recognize import IntPolynomial, TermRatio
 from .whipple import match_whipple, rhs_exact_terminating
@@ -77,10 +77,8 @@ def _check_km(k: int, m: int) -> None:
         raise ValueError(f"the identity requires k >= m, got k = {k}, m = {m}")
     # every pathway takes m steps on integers that grow with k; refuse
     # either over the budget before the first step
-    if m > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(f"m = {m} is over the budget of {DEFAULT_MAX_TERMS} steps")
-    if k > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(f"k = {k} is over the budget of {DEFAULT_MAX_TERMS}")
+    check_budget(m, "m")
+    check_budget(k, "k")
 
 
 def lhs_term(k: int, m: int, n: int) -> Fraction:
@@ -160,7 +158,7 @@ def verify(k: int, m: int) -> IdentityReport:
 
     A pathway that raises reports ``error: <message>`` in its slot, and the
     others still run; if ``rewrite`` raises, its message fills both slots
-    that depend on it.  An m or k above ``DEFAULT_MAX_TERMS`` is refused with
+    that depend on it.  An m or k over the term budget is refused with
     :class:`TermBudgetExceeded` before any pathway runs.
     """
     _check_km(k, m)
@@ -199,14 +197,12 @@ def sweep(k_max: int, jobs: int = 1) -> list[IdentityReport]:
 
     With jobs > 1 the reports are computed in worker processes, at most one
     per CPU and per pair; the output order (and hence any serialized form)
-    is identical for every job count.  More than ``DEFAULT_MAX_TERMS`` pairs
-    are refused with :class:`TermBudgetExceeded` before any is built.
+    is identical for every job count.  More pairs than the term budget are
+    refused with :class:`TermBudgetExceeded` before any is built.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    count = (k_max + 1) * (k_max + 2) // 2
-    if count > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(f"k_max = {k_max} gives {count} pairs, over the budget of {DEFAULT_MAX_TERMS}")
+    check_budget((k_max + 1) * (k_max + 2) // 2, "pair count")
     pairs = [(k, m) for k in range(k_max + 1) for m in range(k + 1)]
     # a fork pool starts all max_workers at once, so never ask for more
     # workers than there are CPUs or pairs

@@ -19,8 +19,8 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .errors import HypergeometricError, TermBudgetExceeded
-from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, PrefactoredSeries
+from .errors import HypergeometricError
+from .hyper_series import HypSeries, PrefactoredSeries, check_budget
 from .record import Record
 
 __all__ = [
@@ -142,8 +142,7 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
     nonzero coefficient over divisors of the leading one, both signs); each
     confirmed root is divided out until it no longer divides.  The divisor
     scan (sqrt |c| steps per coefficient c) and then the candidate count are
-    each refused with :class:`TermBudgetExceeded` when over
-    ``DEFAULT_MAX_TERMS``.
+    each refused with :class:`TermBudgetExceeded` when over the term budget.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
@@ -156,13 +155,9 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
         return roots, coeffs
     # candidates once, from p without its zero roots: dividing out roots
     # only shrinks the set
-    if math.isqrt(abs(coeffs[0])) + math.isqrt(abs(coeffs[-1])) > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(
-            f"divisor scan of {coeffs[0]} and {coeffs[-1]} is over the budget of {DEFAULT_MAX_TERMS} steps"
-        )
+    check_budget(math.isqrt(abs(coeffs[0])) + math.isqrt(abs(coeffs[-1])), "divisor scan length")
     trailing, leading = _divisors(coeffs[0]), _divisors(coeffs[-1])
-    if (n_candidates := 2 * len(trailing) * len(leading)) > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(f"{n_candidates} root candidates are over the budget of {DEFAULT_MAX_TERMS}")
+    check_budget(2 * len(trailing) * len(leading), "root candidate count")
     candidates = {Fraction(sign * c, l) for c in trailing for l in leading for sign in (1, -1)}
     for root in sorted(candidates):
         while len(coeffs) > 1 and (quotient := _deflate(coeffs, root)) is not None:
@@ -190,13 +185,12 @@ class TermRatio(Record):
 def term_at(r: TermRatio, n: int) -> Fraction:
     """t_n = t0 * prod_{j<n} num(j)/den(j), evaluated exactly.
 
-    An index n above ``DEFAULT_MAX_TERMS`` is refused with
+    An index n over the term budget is refused with
     :class:`TermBudgetExceeded` before any factor is computed.
     """
     if n < 0:
         raise ValueError(f"term index must be nonnegative, got {n}")
-    if n > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(f"term index {n} is over the budget of {DEFAULT_MAX_TERMS} steps")
+    check_budget(n, "term index")
     value = r.t0
     for j in range(n):
         q = r.den(j)

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import HypergeometricError, TermBudgetExceeded
-from .hyper_series import DEFAULT_MAX_TERMS, HypSeries, is_nonpositive_integer
+from .errors import HypergeometricError
+from .hyper_series import HypSeries, check_budget, is_nonpositive_integer
 from .record import Record
 
 __all__ = ["WhippleMatch", "match_whipple", "rhs_exact_terminating", "log_gamma", "rhs_numeric"]
@@ -81,7 +81,7 @@ def rhs_exact_terminating(m: WhippleMatch) -> Fraction:
 
     With b = -M the Gamma ratio collapses to (a+1)_M / (a-c+1)_M; the right
     side is symmetric in b and c, so a terminating c is swapped into the b
-    slot first.  A length M above ``DEFAULT_MAX_TERMS`` is refused with
+    slot first.  A length M over the term budget is refused with
     :class:`TermBudgetExceeded` before any factor is computed.
     """
     b, c = m.b, m.c
@@ -90,8 +90,7 @@ def rhs_exact_terminating(m: WhippleMatch) -> Fraction:
             raise HypergeometricError(f"neither b = {b} nor c = {c} is a nonpositive integer")
         b, c = c, b
     shift = -int(b)
-    if shift > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(f"closed form needs {shift} Pochhammer steps, over the budget of {DEFAULT_MAX_TERMS}")
+    check_budget(shift, "Pochhammer length")
     # one integer ratio of the two products, reduced once
     (p, q), (r, t) = (m.a + 1).as_integer_ratio(), (m.a - c + 1).as_integer_ratio()
     num, den = math.prod(range(p, p + shift * q, q)), math.prod(range(r, r + shift * t, t))

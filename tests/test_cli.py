@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypcert import sesma_identity
+from hypcert import hyper_series, sesma_identity
 from hypcert.cli import ParseError, ZeroDenominator, parse_rational, run
 
 
@@ -233,13 +233,13 @@ class TestSweepCommand:
         assert doc["summary"]["line"] == "20/21 pass"
 
     def test_over_the_term_budget_exits_one(self, monkeypatch):
-        monkeypatch.setattr(sesma_identity, "DEFAULT_MAX_TERMS", 9)
+        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 9)
         code, out, _ = invoke(["sweep", "--max-k", "2"])
         assert code == 0
         assert "6/6 pass" in out
         code, out, _ = invoke(["sweep", "--max-k", "3"])
         assert code == 1
-        assert out == "status: error: k_max = 3 gives 10 pairs, over the budget of 9\n"
+        assert out == "status: error: pair count = 10 is over the budget of 9 steps\n"
 
 
 class TestSignedListValues:

@@ -20,7 +20,7 @@ GOLDEN = [
     ("eval --upper -5 --lower -2 --z -1", 1, ("6f634272384c9d7f", "9108bcf2f0b95dfa", "b6c559fba19afcb8")),
     ("eval --upper 1 --lower 2 --z 1/2", 1, ("576a9fea0f5c9540", "00f685574430f1fc", "b17043a7489e9820")),
     ("eval --upper 1 --lower 2 --z 1/2 --numeric", 0, ("f6936b3d2e9a5c54", "4cff1bd1e01bcef8", "a59421b7ff0e6a79")),
-    ("eval --upper -1000000000 --z 1", 1, ("9b70e0baf434e982", "5c24b5bec1bf4a31", "cac465f010cdbbfe")),
+    ("eval --upper -1000000000 --z 1", 1, ("da37904e7b0a0a79", "6aae81cd9d591add", "cac465f010cdbbfe")),
     ("recognize --num 96,-8,-64,-22,-2 --den 240,398,190,34,2 --t0 5/7", 0, ("48349355ffd3073a", "a4e6671ab06f7830", "779387c6c9fdb3cc")),
     ("recognize --num 2,3,1 --den 12,16,4", 0, ("343b14ae1affd8ff", "1fa559b46cf9ac71", "a54c706c7ad0bb73")),
     ("recognize --num 1,0,1 --den 1,1", 1, ("fc45089717bb164d", "98e077b3925afd35", "e3b0c44298fc1c14")),

@@ -72,8 +72,8 @@ def test_verify_with_a_huge_k_exits_one_without_hanging():
 @pytest.mark.parametrize(
     "num,message",
     [
-        ("10000000000000000,1", b"status: error: divisor scan of 10000000000000000 and 1 is over the budget"),
-        ("735134400,0,735134400", b"status: error: 3612672 root candidates are over the budget"),
+        ("10000000000000000,1", b"status: error: divisor scan length = 100000001 is over the budget"),
+        ("735134400,0,735134400", b"status: error: root candidate count = 3612672 is over the budget"),
     ],
 )
 def test_recognize_with_huge_coefficients_exits_one_without_hanging(num, message):
@@ -92,6 +92,34 @@ def test_oversized_whipple_closed_form_exits_zero_without_hanging():
     result = json.loads(proc.stdout)["results"][0]
     assert result["exact"] is None
     assert "over the budget" in result["exact_note"]
+    assert result["numeric"] > 0
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
+needs_str_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit on this Python"
+)
+
+
+@needs_str_digit_limit
+def test_exact_sum_too_long_to_print_exits_one():
+    argv = ["eval", "--upper", "-5000,3/7", "--lower", "5/11", "--z", "13/17", "--format", "json"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["results"][0]["value"] is None
+    assert doc["summary"]["status"].startswith("error: exact value too long to print")
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
+@needs_str_digit_limit
+def test_whipple_closed_form_too_long_to_print_exits_zero():
+    argv = ["whipple", "--upper", "2,2,-20000,1/3", "--lower", "1,20003,8/3", "--z", "-1", "--format", "json"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["results"][0]
+    assert result["exact"] is None
+    assert "too long to print" in result["exact_note"]
     assert result["numeric"] > 0
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
 

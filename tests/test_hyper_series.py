@@ -14,6 +14,7 @@ from hypcert.hyper_series import (
     classify,
     eval_exact,
     eval_numeric,
+    is_nonpositive_integer,
     parametric_excess,
     pochhammer,
 )
@@ -181,24 +182,6 @@ class TestEvalExactAgainstTermwiseSum:
 
 
 class TestTermBudget:
-    S = series([-5, 1], [3], -1)  # terminates at N = 5
-
-    def test_exact_termination_index_up_to_the_budget(self, monkeypatch):
-        expected = termwise_oracle(self.S, 5)
-        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 5)
-        assert eval_exact(self.S) == expected
-        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 4)
-        with pytest.raises(TermBudgetExceeded):
-            eval_exact(self.S)
-
-    def test_numeric_termination_index_up_to_the_default_budget(self, monkeypatch):
-        expected = float(eval_exact(self.S))
-        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 5)
-        assert eval_numeric(self.S, 1e-12) == pytest.approx(expected)
-        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 4)
-        with pytest.raises(TermBudgetExceeded):
-            eval_numeric(self.S, 1e-12)
-
     def test_huge_termination_index_refused_at_once(self):
         s = series([-(10**12)], [], 1)
         with pytest.raises(TermBudgetExceeded):
@@ -297,3 +280,66 @@ class TestHypSeries:
         s = series([1, "3/2"], [2], "1/2")
         assert s.upper == (Fraction(1), Fraction(3, 2))
         assert s.z == Fraction(1, 2)
+
+
+rationals = st.fractions(
+    min_value=-50, max_value=50, max_denominator=30
+)
+
+
+class TestPochhammer:
+    def test_empty_product(self):
+        assert pochhammer(Fraction(7, 3), 0) == 1
+
+    def test_one_gives_factorial(self):
+        assert pochhammer(1, 4) == 24
+
+    def test_direct_product(self):
+        x = Fraction(3, 2)
+        assert pochhammer(x, 3) == x * (x + 1) * (x + 2) == Fraction(105, 8)
+
+    def test_rejects_negative_shift(self):
+        with pytest.raises(ValueError):
+            pochhammer(Fraction(1), -1)
+
+    @given(st.integers(0, 40))
+    def test_at_one_equals_factorial(self, n):
+        assert pochhammer(1, n) == math.factorial(n)
+
+    @given(rationals, st.integers(0, 12), st.integers(0, 12))
+    def test_shift_splitting(self, x, m, n):
+        assert pochhammer(x, m + n) == pochhammer(x, m) * pochhammer(x + m, n)
+
+
+class TestRationalExactness:
+    @given(
+        st.integers(-10**30, 10**30),
+        st.integers(1, 10**30),
+        st.integers(-10**30, 10**30),
+        st.integers(1, 10**30),
+    )
+    def test_add_then_subtract_roundtrips(self, a, b, c, d):
+        x = Fraction(a, b)
+        y = Fraction(c, d)
+        assert (x + y) - y == x
+
+    def test_canonical_form(self):
+        x = Fraction(6, -4)
+        assert x.denominator > 0
+        assert x == Fraction(-3, 2)
+        assert (x.numerator, x.denominator) == (-3, 2)
+
+
+class TestNonpositiveIntegerPredicate:
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            (Fraction(0), True),
+            (Fraction(-3), True),
+            (Fraction(2), False),
+            (Fraction(-1, 2), False),
+            (Fraction(-4, 2), True),
+        ],
+    )
+    def test_cases(self, value, expected):
+        assert is_nonpositive_integer(value) is expected

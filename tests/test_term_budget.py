@@ -1,0 +1,99 @@
+"""The one term budget: every site refuses work over
+``hyper_series.DEFAULT_MAX_TERMS``, and only ``hyper_series`` reads the
+constant or raises the refusal."""
+
+import ast
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+import hypcert
+from hypcert import hyper_series
+from hypcert.errors import TermBudgetExceeded
+from hypcert.hyper_series import HypSeries, eval_exact, eval_numeric
+from hypcert.sesma_identity import sweep, verify
+from hypcert.term_recognize import IntPolynomial, TermRatio, recognize, term_at
+from hypcert.whipple import WhippleMatch, rhs_exact_terminating
+
+
+def terminating(n: int) -> HypSeries:
+    """2F1(-n, 1; 3; -1), which terminates after n steps."""
+    return HypSeries([-n, 1], [3], -1)
+
+
+def ratio(c0: int) -> TermRatio:
+    """t(n+1)/t(n) = (n + c0)/(n + 1): one upper parameter c0."""
+    return TermRatio(IntPolynomial([c0, 1]), IntPolynomial([1, 1]), 1)
+
+
+RECIPROCAL = TermRatio(IntPolynomial([1, 1]), IntPolynomial([2, 1]), 1)  # t_n = 1/(n+1)
+
+# (budget, call, expected): expected is the value the call returns under
+# that budget, or, as a string, the count the refusal names
+BOUNDARY = [
+    pytest.param(5, lambda: eval_exact(terminating(5)), Fraction(40, 7), id="eval_exact admits"),
+    pytest.param(5, lambda: eval_exact(terminating(6)), "termination index = 6", id="eval_exact refuses"),
+    pytest.param(5, lambda: eval_numeric(terminating(5), 1e-12), pytest.approx(40 / 7), id="eval_numeric admits"),
+    pytest.param(5, lambda: eval_numeric(terminating(6), 1e-12), "termination index = 6", id="eval_numeric refuses"),
+    pytest.param(3, lambda: verify(3, 3).all_equal_one, True, id="m admits"),
+    pytest.param(3, lambda: verify(4, 4).all_equal_one, "m = 4", id="m refuses"),
+    pytest.param(10, lambda: verify(20, 20).all_equal_one, "m = 20", id="m refuses, not a failing report"),
+    pytest.param(5, lambda: verify(5, 3).all_equal_one, True, id="k admits"),
+    pytest.param(5, lambda: verify(6, 3).all_equal_one, "k = 6", id="k refuses"),
+    pytest.param(5, lambda: verify(7, 6).all_equal_one, "m = 6", id="m is checked before k"),
+    pytest.param(10, lambda: len(sweep(3)), 10, id="sweep admits"),
+    pytest.param(9, lambda: len(sweep(3)), "pair count = 10", id="sweep refuses"),
+    # the terminating c is swapped into the b slot
+    pytest.param(2, lambda: rhs_exact_terminating(WhippleMatch(5, Fraction(7, 2), -2)), Fraction(24, 5), id="whipple admits"),
+    pytest.param(2, lambda: rhs_exact_terminating(WhippleMatch(5, Fraction(7, 2), -3)), "Pochhammer length = 3", id="whipple refuses"),
+    # sqrt steps: isqrt(81) + isqrt(1) = 10, isqrt(100) + isqrt(1) = 11
+    pytest.param(10, lambda: recognize(ratio(81)).series.upper, (81,), id="divisor scan admits"),
+    pytest.param(10, lambda: recognize(ratio(100)), "divisor scan length = 11", id="divisor scan refuses"),
+    # 12 has 6 divisors and 1 has one: 2 * 6 * 1 = 12 signed candidates
+    pytest.param(12, lambda: recognize(ratio(12)).series.upper, (12,), id="root candidates admit"),
+    pytest.param(11, lambda: recognize(ratio(12)), "root candidate count = 12", id="root candidates refuse"),
+    pytest.param(1, lambda: term_at(RECIPROCAL, 1), Fraction(1, 2), id="term_at admits"),
+    pytest.param(1, lambda: term_at(RECIPROCAL, 2), "term index = 2", id="term_at refuses"),
+]
+
+
+@pytest.mark.parametrize("budget, call, expected", BOUNDARY)
+def test_each_site_admits_the_budget_and_refuses_one_step_more(monkeypatch, budget, call, expected):
+    monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", budget)
+    if isinstance(expected, str):
+        with pytest.raises(TermBudgetExceeded, match=f"^{expected} is over the budget of {budget} steps$"):
+            call()
+    else:
+        assert call() == expected
+
+
+SRC = pathlib.Path(hypcert.__file__).parent
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def names_in(node) -> set[str]:
+    """Every name the node reads, imports or looks up as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def budget_uses(tree) -> list[str]:
+    uses = ["reads DEFAULT_MAX_TERMS"] if "DEFAULT_MAX_TERMS" in names_in(tree) else []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None and "TermBudgetExceeded" in names_in(node.exc):
+            uses.append(f"raises TermBudgetExceeded at line {node.lineno}")
+    return uses
+
+
+def test_only_hyper_series_reads_the_budget_or_raises_its_refusal():
+    assert len(budget_uses(TREES["hyper_series.py"])) == 2
+    elsewhere = [f"{name}: {use}" for name, tree in TREES.items() if name != "hyper_series.py" for use in budget_uses(tree)]
+    assert elsewhere == []

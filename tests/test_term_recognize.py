@@ -105,12 +105,6 @@ class TestTermAt:
         with pytest.raises(ValueError):
             term_at(RATIO_K5, -1)
 
-    def test_index_up_to_the_budget(self, monkeypatch):
-        monkeypatch.setattr(term_recognize, "DEFAULT_MAX_TERMS", 1)
-        assert term_at(RATIO_K5, 1) == Fraction(2, 7)
-        with pytest.raises(TermBudgetExceeded):
-            term_at(RATIO_K5, 2)
-
     def test_huge_index_refused_at_once(self):
         with pytest.raises(TermBudgetExceeded):
             term_at(RATIO_K5, 10**12)
@@ -243,23 +237,6 @@ class TestRecognize:
             num=IntPolynomial([1, 1]), den=IntPolynomial([-5, 1]), t0=Fraction(1)
         )
         with pytest.raises(HypergeometricError, match="^denominator vanishes at n = "):
-            recognize(ratio)
-
-    def test_divisor_scan_up_to_the_budget(self, monkeypatch):
-        # sqrt steps: isqrt(81) + isqrt(1) = 10, isqrt(100) + isqrt(1) = 11
-        monkeypatch.setattr(term_recognize, "DEFAULT_MAX_TERMS", 10)
-        den = IntPolynomial([1, 1])
-        assert recognize(TermRatio(IntPolynomial([81, 1]), den, 1)).series.upper == (81,)
-        with pytest.raises(TermBudgetExceeded, match="^divisor scan of 100 and 1 is over the budget of 10 steps$"):
-            recognize(TermRatio(IntPolynomial([100, 1]), den, 1))
-
-    def test_root_candidates_up_to_the_budget(self, monkeypatch):
-        # 12 has 6 divisors and 1 has one: 2 * 6 * 1 = 12 signed candidates
-        ratio = TermRatio(IntPolynomial([12, 1]), IntPolynomial([1, 1]), 1)
-        monkeypatch.setattr(term_recognize, "DEFAULT_MAX_TERMS", 12)
-        assert recognize(ratio).series.upper == (12,)
-        monkeypatch.setattr(term_recognize, "DEFAULT_MAX_TERMS", 11)
-        with pytest.raises(TermBudgetExceeded, match="^12 root candidates are over the budget of 11$"):
             recognize(ratio)
 
     def test_identity_ratios_stay_inside_the_budget(self):

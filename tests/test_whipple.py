@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypcert import whipple
 from hypcert.errors import HypergeometricError, TermBudgetExceeded
 from hypcert.hyper_series import HypSeries, eval_exact
 from hypcert.whipple import (
@@ -190,13 +189,6 @@ class TestRhsExactTerminating:
         # a - c + 1 = -1 and shift 2 put a zero into the denominator product
         with pytest.raises(HypergeometricError, match=r"^\(-1\)_2 = 0 in the closed form"):
             rhs_exact_terminating(WhippleMatch(Fraction(1), Fraction(-2), Fraction(3)))
-
-    def test_shift_up_to_the_budget(self, monkeypatch):
-        monkeypatch.setattr(whipple, "DEFAULT_MAX_TERMS", 2)
-        # the terminating c = -2 is swapped into the b slot, shift 2
-        assert rhs_exact_terminating(WhippleMatch(Fraction(5), Fraction(7, 2), Fraction(-2))) == Fraction(24, 5)
-        with pytest.raises(TermBudgetExceeded):
-            rhs_exact_terminating(WhippleMatch(Fraction(5), Fraction(7, 2), Fraction(-3)))
 
     def test_huge_shift_refused_at_once(self):
         with pytest.raises(TermBudgetExceeded):
