@@ -5,60 +5,20 @@ hypergeometric terms from their consecutive-term ratios, applies Whipple's
 second theorem to the specially-poised 4F3(-1), and certifies a binomial
 sum identity by checking that three independent evaluation pathways agree
 exactly.
+
+Each module's ``__all__`` is its public surface; the package exports their
+union.
 """
 
-from .errors import HypergeometricError, TermBudgetExceeded
-from .hyper_series import (
-    Classification,
-    HypSeries,
-    PrefactoredSeries,
-    SeriesKind,
-    classify,
-    eval_exact,
-    eval_numeric,
-    parametric_excess,
-    pochhammer,
-)
-from .sesma_identity import (
-    IdentityReport,
-    lhs_sum,
-    lhs_term,
-    rewrite,
-    sesma_ratio,
-    sweep,
-    verify,
-)
-from .term_recognize import IntPolynomial, TermRatio, recognize, term_at
-from .whipple import WhippleMatch, log_gamma, match_whipple, rhs_exact_terminating, rhs_numeric
+from . import errors, hyper_series, sesma_identity, term_recognize, whipple
+from .errors import *  # noqa: F403
+from .hyper_series import *  # noqa: F403
+from .sesma_identity import *  # noqa: F403
+from .term_recognize import *  # noqa: F403
+from .whipple import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "HypSeries",
-    "HypergeometricError",
-    "IdentityReport",
-    "IntPolynomial",
-    "PrefactoredSeries",
-    "SeriesKind",
-    "TermBudgetExceeded",
-    "TermRatio",
-    "WhippleMatch",
-    "classify",
-    "eval_exact",
-    "eval_numeric",
-    "lhs_sum",
-    "lhs_term",
-    "log_gamma",
-    "match_whipple",
-    "parametric_excess",
-    "pochhammer",
-    "recognize",
-    "rewrite",
-    "rhs_exact_terminating",
-    "rhs_numeric",
-    "sesma_ratio",
-    "sweep",
-    "term_at",
-    "verify",
-]
+__all__ = sorted(
+    name for module in (errors, hyper_series, sesma_identity, term_recognize, whipple) for name in module.__all__
+)

@@ -277,12 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help=argparse.SUPPRESS,
     )
+    series = argparse.ArgumentParser(add_help=False)
+    series.add_argument("--upper", default="", help="comma-separated upper parameters")
+    series.add_argument("--lower", default="", help="comma-separated lower parameters")
+    series.add_argument("--z", required=True, help="series argument as p/q")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a pFq series", parents=[common])
-    p.add_argument("--upper", default="", help="comma-separated upper parameters")
-    p.add_argument("--lower", default="", help="comma-separated lower parameters")
-    p.add_argument("--z", required=True, help="series argument as p/q")
+    p = sub.add_parser("eval", help="evaluate a pFq series", parents=[common, series])
     p.add_argument("--numeric", action="store_true", help="use the floating-point path")
     p.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance (default 1e-12)")
     p.set_defaults(func=_cmd_eval)
@@ -293,10 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", default="1", help="initial term (default 1)")
     p.set_defaults(func=_cmd_recognize)
 
-    p = sub.add_parser("whipple", help="match the Whipple 4F3 shape and evaluate closed forms", parents=[common])
-    p.add_argument("--upper", default="", help="comma-separated upper parameters")
-    p.add_argument("--lower", default="", help="comma-separated lower parameters")
-    p.add_argument("--z", required=True, help="series argument as p/q")
+    p = sub.add_parser("whipple", help="match the Whipple 4F3 shape and evaluate closed forms", parents=[common, series])
     p.set_defaults(func=_cmd_whipple)
 
     p = sub.add_parser("verify", help="certify the binomial identity at one (k, m)", parents=[common])

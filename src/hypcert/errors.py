@@ -8,10 +8,13 @@ series that does not terminate or diverges, a pole, a term ratio with no
 pFq shape, a closed form outside its regime, a value too long to print.
 The CLI maps it to exit code 1.  Its subclass :class:`TermBudgetExceeded`
 comes only from ``hyper_series.check_budget``: ``<count> = <n> is over the
-budget of <DEFAULT_MAX_TERMS> steps``, before the first step, in eval_exact,
-eval_numeric, verify (m, then k), sweep, rhs_exact_terminating, recognize
-(divisor scan, then root candidates) and term_at.
+budget of <DEFAULT_MAX_TERMS> steps`` (``<count> of <bits> bits ...`` for an
+n too long to print), before the first step, in eval_exact, eval_numeric,
+verify (m, then k), sweep, rhs_exact_terminating, recognize (divisor scan,
+then root candidates) and term_at.
 """
+
+__all__ = ["HypergeometricError", "TermBudgetExceeded"]
 
 
 class HypergeometricError(Exception):

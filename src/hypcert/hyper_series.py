@@ -28,7 +28,6 @@ __all__ = [
     "parametric_excess",
     "eval_exact",
     "eval_numeric",
-    "DEFAULT_MAX_TERMS",
     "pochhammer",
 ]
 
@@ -36,9 +35,14 @@ DEFAULT_MAX_TERMS = 100_000
 
 
 def check_budget(steps: int, what: str) -> None:
-    """Refuse work of more than DEFAULT_MAX_TERMS steps; ``what`` names the count."""
+    """Refuse work of more than DEFAULT_MAX_TERMS steps; ``what`` names the
+    count, by its bit length when it is past the int-to-str digit limit."""
     if steps > DEFAULT_MAX_TERMS:
-        raise TermBudgetExceeded(f"{what} = {steps} is over the budget of {DEFAULT_MAX_TERMS} steps")
+        try:
+            count = f"= {steps}"
+        except ValueError:
+            count = f"of {steps.bit_length()} bits"
+        raise TermBudgetExceeded(f"{what} {count} is over the budget of {DEFAULT_MAX_TERMS} steps")
 
 
 def pochhammer(x: Fraction | int, n: int) -> Fraction:
@@ -245,13 +249,12 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
         raise HypergeometricError(f"lower-parameter pole at index {cls.index} in {s}")
     if cls.kind is SeriesKind.DIVERGENT:
         raise HypergeometricError(f"series {s} diverges at z = {s.z}")
+    if cls.kind is SeriesKind.TERMINATING:
+        check_budget(cls.index, "termination index")
 
     upper = [float(a) for a in s.upper]
     lower = [float(b) for b in s.lower]
     z = float(s.z)
-
-    if cls.kind is SeriesKind.TERMINATING:
-        check_budget(cls.index, "termination index")
     total = 0.0
     comp = 0.0
     term = 1.0

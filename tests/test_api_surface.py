@@ -1,7 +1,8 @@
 """The public names of the package and of each module, pinned.
 
-A name added to or removed from an ``__all__`` must be added to or removed
-from the table below in the same change.
+A name added to or removed from a module's ``__all__`` must be added to or
+removed from the table below in the same change; the package's entry is
+derived from the library modules' entries.
 """
 
 import importlib
@@ -9,47 +10,13 @@ import inspect
 
 import pytest
 
+import hypcert
 from hypcert import hyper_series
 
-ERRORS = ["HypergeometricError", "TermBudgetExceeded"]
-
-PUBLIC = {
-    "hypcert": sorted(
-        ERRORS
-        + [
-            "Classification",
-            "HypSeries",
-            "IdentityReport",
-            "IntPolynomial",
-            "PrefactoredSeries",
-            "SeriesKind",
-            "TermRatio",
-            "WhippleMatch",
-            "classify",
-            "eval_exact",
-            "eval_numeric",
-            "lhs_sum",
-            "lhs_term",
-            "log_gamma",
-            "match_whipple",
-            "parametric_excess",
-            "pochhammer",
-            "recognize",
-            "rewrite",
-            "rhs_exact_terminating",
-            "rhs_numeric",
-            "sesma_ratio",
-            "sweep",
-            "term_at",
-            "verify",
-        ]
-    ),
-    "hypcert.cli": ["ParseError", "ZeroDenominator", "main", "parse_rational", "run"],
-    # errors.py has no __all__: its public names are the classes it defines
-    "hypcert.errors": ERRORS,
+MODULES = {
+    "hypcert.errors": ["HypergeometricError", "TermBudgetExceeded"],
     "hypcert.hyper_series": [
         "Classification",
-        "DEFAULT_MAX_TERMS",
         "HypSeries",
         "PrefactoredSeries",
         "SeriesKind",
@@ -59,10 +26,17 @@ PUBLIC = {
         "parametric_excess",
         "pochhammer",
     ],
-    "hypcert.record": ["Record"],
     "hypcert.sesma_identity": ["IdentityReport", "lhs_sum", "lhs_term", "rewrite", "sesma_ratio", "sweep", "verify"],
     "hypcert.term_recognize": ["IntPolynomial", "TermRatio", "recognize", "term_at"],
     "hypcert.whipple": ["WhippleMatch", "log_gamma", "match_whipple", "rhs_exact_terminating", "rhs_numeric"],
+}
+
+PUBLIC = {
+    # the package exports the union of the library modules' names
+    "hypcert": sorted(name for names in MODULES.values() for name in names),
+    **MODULES,
+    "hypcert.cli": ["ParseError", "ZeroDenominator", "main", "parse_rational", "run"],
+    "hypcert.record": ["Record"],
 }
 
 DELETED = [
@@ -86,13 +60,7 @@ DELETED = [
 
 
 def public_names(module) -> list[str]:
-    if hasattr(module, "__all__"):
-        return sorted(module.__all__)
-    return sorted(
-        name
-        for name, obj in vars(module).items()
-        if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
-    )
+    return sorted(module.__all__)
 
 
 @pytest.mark.parametrize("name", sorted(PUBLIC))
@@ -107,6 +75,16 @@ def test_public_names_are_pinned_and_resolve(name):
 def test_deleted_names_are_gone(name):
     module = importlib.import_module(name)
     assert [attr for attr in DELETED if hasattr(module, attr)] == []
+
+
+def test_package_exports_the_union_of_the_module_names():
+    modules = [importlib.import_module(name) for name in MODULES]
+    assert hypcert.__all__ == sorted(name for module in modules for name in module.__all__)
+
+
+def test_budget_constant_is_set_through_hyper_series_only():
+    assert hasattr(hyper_series, "DEFAULT_MAX_TERMS")
+    assert not hasattr(hypcert, "DEFAULT_MAX_TERMS")
 
 
 def test_one_term_budget():

@@ -11,10 +11,12 @@ TREES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.p
 
 
 def read_names(tree) -> set[str]:
-    """Names the module reads, plus the names listed in its __all__."""
+    """Names the module reads, plus the names listed in its __all__; the
+    package's __all__ is computed, as the union of the modules' lists."""
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+        is_all = isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        if is_all and isinstance(node.value, ast.List):
             names.update(ast.literal_eval(node.value))
     return names
 

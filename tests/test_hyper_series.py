@@ -198,6 +198,10 @@ class TestEvalNumeric:
     def test_binomial_power(self):
         assert eval_numeric(series([-2], [], -1), 1e-12) == pytest.approx(4.0, abs=1e-12)
 
+    def test_ill_posed_refused(self):
+        with pytest.raises(HypergeometricError, match="lower-parameter pole at index 2"):
+            eval_numeric(series([1], [-2], Fraction(1, 2)), 1e-12)
+
     def test_log_series(self):
         # 2F1(1, 1; 2; z) = -ln(1-z)/z; truncated-series oracle at z = 1/2
         z = 0.5

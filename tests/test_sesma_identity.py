@@ -20,7 +20,7 @@ from hypcert.sesma_identity import (
     verify,
 )
 from hypcert.term_recognize import recognize, term_at
-from hypcert.whipple import match_whipple
+from hypcert.whipple import WhippleMatch, match_whipple
 
 # pairs across the triangle up to (300, 300): both edges, the middle, the top row
 SPOT_PAIRS = [
@@ -222,6 +222,14 @@ class TestVerify:
         with pytest.raises(TermBudgetExceeded, match="m = 4 is over the budget of 3 steps"):
             verify(4, 4)
         assert calls == [(3, 3)]
+
+    @pytest.mark.parametrize("match", [None, WhippleMatch(Fraction(6), Fraction(-1), Fraction(3))])
+    def test_unexpected_whipple_match_fails_that_pathway_only(self, monkeypatch, match):
+        monkeypatch.setattr(sesma_identity, "match_whipple", lambda series: match)
+        report = verify(5, 2)
+        assert (report.direct, report.via_series) == (1, 1)
+        assert report.via_whipple == f"error: matched {match}, expected (a, b, c) = (6, -2, 3)"
+        assert not report.all_equal_one
 
 
 class TestSweep:

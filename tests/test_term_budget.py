@@ -4,6 +4,7 @@ constant or raises the refusal."""
 
 import ast
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,17 @@ def ratio(c0: int) -> TermRatio:
 
 
 RECIPROCAL = TermRatio(IntPolynomial([1, 1]), IntPolynomial([2, 1]), 1)  # t_n = 1/(n+1)
+
+LONG = 10**5000  # 16,610 bits; its 5,001 digits are past the default int-to-str limit of 4,300
+past_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000, reason="10**5000 prints on this Python"
+)
+
+
+def too_long_to_print(call, expected: str, id: str):
+    """A refusal whose count is past the digit limit, so it is named by its bit length."""
+    return pytest.param(5, call, expected, id=id, marks=past_digit_limit)
+
 
 # (budget, call, expected): expected is the value the call returns under
 # that budget, or, as a string, the count the refusal names
@@ -55,6 +67,11 @@ BOUNDARY = [
     pytest.param(11, lambda: recognize(ratio(12)), "root candidate count = 12", id="root candidates refuse"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 1), Fraction(1, 2), id="term_at admits"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 2), "term index = 2", id="term_at refuses"),
+    too_long_to_print(lambda: eval_exact(HypSeries([-LONG], [], 1)), "termination index of 16610 bits", "eval_exact, long"),
+    too_long_to_print(lambda: eval_numeric(HypSeries([-LONG], [], 1), 1e-12), "termination index of 16610 bits", "eval_numeric, long"),
+    too_long_to_print(lambda: term_at(RECIPROCAL, LONG), "term index of 16610 bits", "term_at, long"),
+    too_long_to_print(lambda: verify(LONG, LONG), "m of 16610 bits", "verify, long"),
+    too_long_to_print(lambda: sweep(LONG), "pair count of 33219 bits", "sweep, long"),
 ]
 
 

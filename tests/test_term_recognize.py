@@ -44,6 +44,12 @@ class TestIntPolynomial:
         p = IntPolynomial.from_linear_factors([(2, 1), (-1, 1)])  # (n+2)(n-1)
         assert p.coefficients == (-2, 1, 1)
 
+    def test_zero_polynomial(self):
+        zero, p = IntPolynomial([]), IntPolynomial([-2, 1, 1])
+        assert (zero.leading, zero.degree, str(zero)) == (0, -1, "0")
+        assert (zero * p).is_zero
+        assert (p * zero).is_zero
+
 
 class TestRationalRoots:
     def test_expand_and_check_oracle(self):
