@@ -252,9 +252,12 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
     if cls.kind is SeriesKind.TERMINATING:
         check_budget(cls.index, "termination index")
 
-    upper = [float(a) for a in s.upper]
-    lower = [float(b) for b in s.lower]
-    z = float(s.z)
+    try:
+        upper = [float(a) for a in s.upper]
+        lower = [float(b) for b in s.lower]
+        z = float(s.z)
+    except OverflowError:
+        raise HypergeometricError("a parameter or z is past the float range of the numeric path") from None
     total = 0.0
     comp = 0.0
     term = 1.0

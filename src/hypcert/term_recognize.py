@@ -2,14 +2,15 @@
 t(n+1)/t(n) = P(n)/Q(n), as prefactor * pFq in canonical form.
 
 P and Q are integer-coefficient polynomials.  Recognition splits each of
-them once into its rational roots with multiplicities (rational-root
-theorem with exact integer deflation) and a cofactor without rational
-roots.  Roots shared by P and Q cancel as a multiset difference; the ratio
-is accepted only when the two cofactors are proportional, so that they
-cancel too.  The remaining roots of P give the upper parameters, those of
-Q the lower ones, and z is lead(P)/lead(Q).  One root of Q at n = -1 plays
-the role of the n! factor of the pFq normal form; if it is missing, an
-(n+1) factor is installed on both sides, which adds the upper parameter 1.
+them once into its rational roots with multiplicities (integer-root
+isolation on a monic transform, then exact integer deflation) and a
+cofactor without rational roots.  Roots shared by P and Q cancel as a
+multiset difference; the ratio is accepted only when the two cofactors are
+proportional, so that they cancel too.  The remaining roots of P give the
+upper parameters, those of Q the lower ones, and z is lead(P)/lead(Q).  One
+root of Q at n = -1 plays the role of the n! factor of the pFq normal form;
+if it is missing, an (n+1) factor is installed on both sides, which adds
+the upper parameter 1.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class IntPolynomial(Record):
             return 0
         return self.coefficients[-1]
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
+    def __call__(self, x: Fraction | int) -> Fraction | int:
+        """p(x) by Horner's rule: an int for an int x, a Fraction for a Fraction."""
+        acc = 0
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
@@ -102,19 +104,6 @@ class IntPolynomial(Record):
         return joined.lstrip("+").strip()
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _deflate(coeffs: list[int], root: Fraction) -> list[int] | None:
     """Quotient of coeffs by the primitive factor (d*n - c) of root = c/d,
     or None when that factor does not divide.
@@ -134,15 +123,50 @@ def _deflate(coeffs: list[int], root: Fraction) -> list[int] | None:
     return quotient if coeffs[0] + c * carry == 0 else None
 
 
+def _root_floors(f: IntPolynomial, bound: int) -> set[int]:
+    """Integers that include floor(r) for every real root r of f, given
+    that every root lies in (-bound, bound).
+
+    The floors of the real roots of f' (found the same way, one degree
+    down) cut [-bound, bound] into unit pieces [c, c+1] around the critical
+    points, whose floors c are kept as they are, and integer pieces between
+    them, on each of which f is monotone and so has at most one root.  A
+    piece whose ends do not have opposite signs or a zero has no root;
+    otherwise an integer sign bisection finds its floor.
+    """
+    if f.degree < 1:
+        return set()
+    critical = sorted(_root_floors(IntPolynomial([i * c for i, c in enumerate(f.coefficients)][1:]), bound))
+    floors = set(critical)
+    for lo, hi in zip([-bound] + [c + 1 for c in critical], critical + [bound]):
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo == 0:
+            floors.add(lo)
+            continue
+        if f_hi != 0 and (f_hi > 0) == (f_lo > 0):
+            continue
+        # the root r lies in (lo, hi]: f(lo) keeps its sign, f(hi) does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (f_mid := f(mid)) and (f_mid > 0) == (f_lo > 0):
+                lo = mid
+            else:
+                hi, f_hi = mid, f_mid
+        floors.add(hi if f_hi == 0 else lo)
+    return floors
+
+
 def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
     """Rational roots of p with their multiplicities, and the cofactor of p
     (ascending integer coefficients) that has no rational roots.
 
-    Candidates come from the rational-root theorem (divisors of the trailing
-    nonzero coefficient over divisors of the leading one, both signs); each
-    confirmed root is divided out until it no longer divides.  The divisor
-    scan (sqrt |c| steps per coefficient c) and then the candidate count are
-    each refused with :class:`TermBudgetExceeded` when over the term budget.
+    Every rational root c/d of the primitive part of p, of degree D and
+    leading coefficient L, has d | L, so y = L*x is an integer root of the
+    monic q(y) = L**(D-1) * p(y/L), and |y| < B = 1 + max |q_i| (Cauchy's
+    bound).  The integer roots of q are found by :func:`_root_floors`, in
+    about D**2 * log2(B) evaluations; that count is refused with
+    :class:`TermBudgetExceeded` when over the term budget, before the first
+    one.  Each root is divided out of p until it no longer divides.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
@@ -151,18 +175,21 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
     while coeffs[0] == 0:
         coeffs.pop(0)
         roots[Fraction(0)] += 1
-    if len(coeffs) == 1:
+    degree = len(coeffs) - 1
+    if degree == 0:
         return roots, coeffs
-    # candidates once, from p without its zero roots: dividing out roots
-    # only shrinks the set
-    check_budget(math.isqrt(abs(coeffs[0])) + math.isqrt(abs(coeffs[-1])), "divisor scan length")
-    trailing, leading = _divisors(coeffs[0]), _divisors(coeffs[-1])
-    check_budget(2 * len(trailing) * len(leading), "root candidate count")
-    candidates = {Fraction(sign * c, l) for c in trailing for l in leading for sign in (1, -1)}
-    for root in sorted(candidates):
-        while len(coeffs) > 1 and (quotient := _deflate(coeffs, root)) is not None:
-            coeffs = quotient
-            roots[root] += 1
+    content = math.gcd(*coeffs)
+    primitive = [c // content for c in coeffs]
+    lead = primitive[-1]
+    q = IntPolynomial([c * lead ** (degree - 1 - i) for i, c in enumerate(primitive[:-1])] + [1])
+    bound = 1 + max(abs(c) for c in q.coefficients[:-1])
+    check_budget(degree**2 * bound.bit_length(), "root isolation steps")
+    for y in _root_floors(q, bound):
+        if q(y) == 0:
+            root = Fraction(y, lead)
+            while len(coeffs) > 1 and (quotient := _deflate(coeffs, root)) is not None:
+                coeffs = quotient
+                roots[root] += 1
     return roots, coeffs
 
 

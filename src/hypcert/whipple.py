@@ -150,5 +150,8 @@ def rhs_numeric(m: WhippleMatch) -> float:
     args = (m.a - m.b + 1, m.a - m.c + 1, m.a + 1, m.a - m.b - m.c + 1)
     if any(arg <= 0 for arg in args):
         raise HypergeometricError(f"nonpositive Gamma argument among {tuple(str(a) for a in args)}")
-    num1, num2, den1, den2 = (float(arg) for arg in args)
+    try:
+        num1, num2, den1, den2 = (float(arg) for arg in args)
+    except OverflowError:
+        raise HypergeometricError("a Gamma argument is past the float range") from None
     return math.exp(log_gamma(num1) + log_gamma(num2) - log_gamma(den1) - log_gamma(den2))

@@ -147,6 +147,18 @@ class TestWhippleCommand:
         assert result["exact"] == "2"
         assert abs(result["numeric"] - 2.0) < 1e-9
 
+    def test_parameter_past_the_float_range_keeps_the_exact_value(self):
+        # a = 10^400, b = -2, c = 1/2: the exact closed form is
+        # (a+1)_2 / (a+1/2)_2, the Gamma arguments do not fit a float
+        a, c = Fraction(10**400), Fraction(1, 2)
+        upper = ",".join(str(x) for x in (a, 1 + a / 2, -2, c))
+        lower = ",".join(str(x) for x in (a / 2, a + 3, a - c + 1))
+        code, out, _ = invoke(["whipple", "--upper", upper, "--lower", lower, "--z", "-1", "--format", "json"])
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["exact"] == str((a + 1) * (a + 2) / ((a - c + 1) * (a - c + 2)))
+        assert (result["numeric"], result["numeric_note"]) == (None, "a Gamma argument is past the float range")
+
     def test_no_match_exits_one(self):
         code, out, _ = invoke(
             ["whipple", "--upper", "3,5/2,-1,2", "--lower", "3/2,5,2", "--z", "1", "--format", "json"]

@@ -69,18 +69,30 @@ def test_verify_with_a_huge_k_exits_one_without_hanging():
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
 
 
-@pytest.mark.parametrize(
-    "num,message",
-    [
-        ("10000000000000000,1", b"status: error: divisor scan length = 100000001 is over the budget"),
-        ("735134400,0,735134400", b"status: error: root candidate count = 3612672 is over the budget"),
-    ],
-)
-def test_recognize_with_huge_coefficients_exits_one_without_hanging(num, message):
-    argv = ["recognize", "--num", num, "--den", "1,1"]
+@pytest.mark.parametrize("constant", ["10000000000000000", "100000000000000"])
+def test_recognize_with_a_huge_constant_finds_its_parameter(constant):
+    argv = ["recognize", "--num", f"{constant},1", "--den", "1,1", "--format", "json"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["results"][0]["upper"] == [constant]
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
+def test_recognize_with_huge_coefficients_and_no_rational_root_exits_one():
+    argv = ["recognize", "--num", "735134400,0,735134400", "--den", "1,1"]
     proc = run_module("hypcert", argv)
     assert proc.returncode == 1
-    assert message in proc.stdout
+    assert b"status: error: numerator 735134400 +735134400*n^2 has an irreducible nonlinear cofactor" in proc.stdout
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
+def test_numeric_sum_with_a_parameter_past_the_float_range_exits_one():
+    argv = ["eval", "--upper", "1" + "0" * 400, "--lower", "1", "--z", "1/2", "--numeric", "--format", "json"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["results"][0]["value"] is None
+    assert doc["summary"]["status"] == "error: a parameter or z is past the float range of the numeric path"
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
 
 

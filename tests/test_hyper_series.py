@@ -248,6 +248,11 @@ class TestEvalNumeric:
         with pytest.raises(ValueError):
             eval_numeric(series([-2], [], 1), 0.0)
 
+    def test_parameter_past_the_float_range_refused(self):
+        for s in (series([10**400], [1], Fraction(1, 2)), series([], [1], 10**400)):
+            with pytest.raises(HypergeometricError, match="^a parameter or z is past the float range"):
+                eval_numeric(s, 1e-12)
+
 
 class TestAgainstMpmath:
     def test_exact_values_match_external_library(self):

@@ -23,9 +23,10 @@ def terminating(n: int) -> HypSeries:
     return HypSeries([-n, 1], [3], -1)
 
 
-def ratio(c0: int) -> TermRatio:
-    """t(n+1)/t(n) = (n + c0)/(n + 1): one upper parameter c0."""
-    return TermRatio(IntPolynomial([c0, 1]), IntPolynomial([1, 1]), 1)
+def quadratic(c: int) -> TermRatio:
+    """t(n+1)/t(n) = (n + 1)(n + c)/(n + 1)^2: one upper parameter c, from
+    the numerator c + (c+1) n + n^2."""
+    return TermRatio(IntPolynomial([c, c + 1, 1]), IntPolynomial([1, 2, 1]), 1)
 
 
 RECIPROCAL = TermRatio(IntPolynomial([1, 1]), IntPolynomial([2, 1]), 1)  # t_n = 1/(n+1)
@@ -59,12 +60,9 @@ BOUNDARY = [
     # the terminating c is swapped into the b slot
     pytest.param(2, lambda: rhs_exact_terminating(WhippleMatch(5, Fraction(7, 2), -2)), Fraction(24, 5), id="whipple admits"),
     pytest.param(2, lambda: rhs_exact_terminating(WhippleMatch(5, Fraction(7, 2), -3)), "Pochhammer length = 3", id="whipple refuses"),
-    # sqrt steps: isqrt(81) + isqrt(1) = 10, isqrt(100) + isqrt(1) = 11
-    pytest.param(10, lambda: recognize(ratio(81)).series.upper, (81,), id="divisor scan admits"),
-    pytest.param(10, lambda: recognize(ratio(100)), "divisor scan length = 11", id="divisor scan refuses"),
-    # 12 has 6 divisors and 1 has one: 2 * 6 * 1 = 12 signed candidates
-    pytest.param(12, lambda: recognize(ratio(12)).series.upper, (12,), id="root candidates admit"),
-    pytest.param(11, lambda: recognize(ratio(12)), "root candidate count = 12", id="root candidates refuse"),
+    # degree**2 times the bit length of the Cauchy bound 2 + c: 4 * 7 = 28, then 4 * 8 = 32
+    pytest.param(28, lambda: recognize(quadratic(125)).series.upper, (125,), id="root isolation admits"),
+    pytest.param(28, lambda: recognize(quadratic(126)), "root isolation steps = 32", id="root isolation refuses"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 1), Fraction(1, 2), id="term_at admits"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 2), "term index = 2", id="term_at refuses"),
     too_long_to_print(lambda: eval_exact(HypSeries([-LONG], [], 1)), "termination index of 16610 bits", "eval_exact, long"),

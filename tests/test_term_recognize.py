@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypcert import term_recognize
 from hypcert.errors import HypergeometricError, TermBudgetExceeded
 from hypcert.hyper_series import pochhammer
-from hypcert.sesma_identity import sesma_ratio
+from hypcert.sesma_identity import rewrite, sesma_ratio
 from hypcert.term_recognize import (
     IntPolynomial,
     TermRatio,
@@ -39,6 +39,7 @@ class TestIntPolynomial:
         assert p(1) == 0
         assert p(-2) == 0
         assert p(Fraction(1, 2)) == Fraction(-5, 4)
+        assert type(p(3)) is int and p(3) == 10  # integer arithmetic for an integer argument
 
     def test_from_linear_factors(self):
         p = IntPolynomial.from_linear_factors([(2, 1), (-1, 1)])  # (n+2)(n-1)
@@ -78,6 +79,13 @@ class TestRationalRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             rational_roots(IntPolynomial([]))
+
+    def test_double_root_at_a_critical_point(self):
+        # (n+1)(n+16)^2(n+17): -16 is a root of p and of p', so p keeps one
+        # sign on both sides of it and no sign change brackets it
+        p = IntPolynomial([4352, 5152, 849, 50, 1])
+        assert p == IntPolynomial.from_linear_factors([(1, 1), (16, 1), (16, 1), (17, 1)])
+        assert rational_roots(p) == [(Fraction(-17), 1), (Fraction(-16), 2), (Fraction(-1), 1)]
 
     def test_deflation_leaves_no_rational_roots_behind(self):
         # (3n-1)(n+7) times the rootless n^2+n+1
@@ -245,9 +253,16 @@ class TestRecognize:
         with pytest.raises(HypergeometricError, match="^denominator vanishes at n = "):
             recognize(ratio)
 
-    def test_identity_ratios_stay_inside_the_budget(self):
-        # P(0) = m(k+1)(m+1)(k+3) is largest on the diagonal
-        assert recognize(sesma_ratio(300, 300)).series.upper[0] == -300
+    @pytest.mark.parametrize("k, m", [(315, 315), (1000, 500), (3000, 1500)])
+    def test_identity_ratio_matches_rewrite(self, k, m):
+        # criterion 2's comparison, beyond its seeded sample (k <= 100) and
+        # beyond k = 314, where P(0) = m(k+1)(m+1)(k+3) passes 10^10
+        recognized, target = recognize(sesma_ratio(k, m)), rewrite(k, m)
+        upper, lower = Counter(target.series.upper), Counter(target.series.lower)
+        assert recognized.prefactor == target.prefactor
+        assert recognized.series.z == target.series.z == -1
+        assert Counter(recognized.series.upper) == upper - lower
+        assert Counter(recognized.series.lower) == lower - upper
 
     def test_parameter_counts(self):
         # with the n! factor present in Q: |upper| = deg P, |lower| = deg Q - 1
@@ -352,6 +367,33 @@ class TestRecognizeProperties:
         got = recognize(ratio)
         assert (got.series.upper, got.series.lower, got.series.z) == expected
         assert got.prefactor == ratio.t0
+
+
+# A factor (c0, c1) stands for c0 + c1*n, with c0 up to 2**60 in size
+wide_factor = st.tuples(st.just(0) | st.integers(-(2**60), 2**60), st.integers(1, 5))
+
+
+@st.composite
+def split_cases(draw):
+    """1-6 linear factors, some repeated or shifted by one step (adjacent
+    roots), a scale of either sign and, optionally, a rootless n^2 + c."""
+    factors = draw(st.lists(wide_factor, min_size=1, max_size=6))
+    copies = draw(st.lists(st.tuples(st.sampled_from(factors), st.sampled_from([0, 1])), max_size=6 - len(factors)))
+    factors += [(c0 + shift * c1, c1) for (c0, c1), shift in copies]
+    scale = draw(st.integers(1, 1000)) * draw(st.sampled_from([-1, 1]))
+    return factors, scale, draw(st.none() | st.integers(1, 2**40))
+
+
+class TestSplitProperties:
+    @given(split_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_returns_the_built_roots_and_cofactor(self, case):
+        factors, scale, c = case
+        p = IntPolynomial.from_linear_factors(factors, scale=scale)
+        rest = [1] if c is None else [c, 0, 1]
+        roots, cofactor = term_recognize._split(p * IntPolynomial(rest))
+        assert roots == Counter(Fraction(-c0, c1) for c0, c1 in factors)
+        assert cofactor == [cofactor[-1] * x for x in rest]  # rest up to a constant
 
 
 def random_integer_polynomial(rng: random.Random) -> IntPolynomial:

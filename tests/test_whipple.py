@@ -253,6 +253,10 @@ class TestRhsNumeric:
         with pytest.raises(HypergeometricError, match="nonpositive Gamma argument"):
             rhs_numeric(WhippleMatch(Fraction(1), Fraction(1), Fraction(3, 2)))
 
+    def test_rejects_gamma_argument_past_the_float_range(self):
+        with pytest.raises(HypergeometricError, match="^a Gamma argument is past the float range$"):
+            rhs_numeric(WhippleMatch(Fraction(10**400), Fraction(-2), Fraction(1, 2)))
+
     def test_close_to_exact(self):
         rng = random.Random(5)
         for _ in range(80):
