@@ -162,28 +162,32 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
 
     Every rational root c/d of the primitive part of p, of degree D and
     leading coefficient L, has d | L, so y = L*x is an integer root of the
-    monic q(y) = L**(D-1) * p(y/L), and |y| < B = 1 + max |q_i| (Cauchy's
+    monic q(y) = L**(D-1) * p(y/L).  Each coefficient c_i * L**(D-1-i) of q
+    below its leading 1 is under 2**bits, with bits read off the bit lengths
+    of c_i and L alone, so |y| < 1 + max |q_i| <= B = 2**bits (Cauchy's
     bound).  The integer roots of q are found by :func:`_root_floors`, in
     about D**2 * log2(B) evaluations; that count is refused with
-    :class:`TermBudgetExceeded` when over the term budget, before the first
-    one.  Each root is divided out of p until it no longer divides.
+    :class:`TermBudgetExceeded` when over the term budget, before q is
+    built.  Each root is divided out of p until it no longer divides.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
-    coeffs = list(p.coefficients)
     roots: Counter = Counter()
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        roots[Fraction(0)] += 1
+    zeros = next(i for i, c in enumerate(p.coefficients) if c)
+    if zeros:
+        roots[Fraction(0)] = zeros
+    coeffs = list(p.coefficients[zeros:])
     degree = len(coeffs) - 1
     if degree == 0:
         return roots, coeffs
     content = math.gcd(*coeffs)
     primitive = [c // content for c in coeffs]
     lead = primitive[-1]
-    q = IntPolynomial([c * lead ** (degree - 1 - i) for i, c in enumerate(primitive[:-1])] + [1])
-    bound = 1 + max(abs(c) for c in q.coefficients[:-1])
+    lead_bits = (abs(lead) - 1).bit_length()  # |lead| <= 2**lead_bits; 0 for lead = ±1
+    bits = max(abs(c).bit_length() + (degree - 1 - i) * lead_bits for i, c in enumerate(primitive[:-1]) if c)
+    bound = 1 << bits
     check_budget(degree**2 * bound.bit_length(), "root isolation steps")
+    q = IntPolynomial([c * lead ** (degree - 1 - i) for i, c in enumerate(primitive[:-1])] + [1])
     for y in _root_floors(q, bound):
         if q(y) == 0:
             root = Fraction(y, lead)

@@ -86,6 +86,16 @@ def test_recognize_with_huge_coefficients_and_no_rational_root_exits_one():
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
 
 
+def test_recognize_with_a_long_wide_lead_polynomial_is_refused_before_any_power():
+    # the monic transform would raise the 4,300-digit lead to every power up to 1,998
+    lead = "7" * 4300
+    argv = ["recognize", "--num", ",".join(["1"] + ["0"] * 1998 + [lead]), "--den", "1,1"]
+    proc = run_module("hypcert", argv)
+    assert proc.returncode == 1
+    assert b"status: error: root isolation steps = 114043606803434 is over the budget" in proc.stdout
+    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
 def test_numeric_sum_with_a_parameter_past_the_float_range_exits_one():
     argv = ["eval", "--upper", "1" + "0" * 400, "--lower", "1", "--z", "1/2", "--numeric", "--format", "json"]
     proc = run_module("hypcert", argv)

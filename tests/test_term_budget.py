@@ -60,9 +60,9 @@ BOUNDARY = [
     # the terminating c is swapped into the b slot
     pytest.param(2, lambda: rhs_exact_terminating(WhippleMatch(5, Fraction(7, 2), -2)), Fraction(24, 5), id="whipple admits"),
     pytest.param(2, lambda: rhs_exact_terminating(WhippleMatch(5, Fraction(7, 2), -3)), "Pochhammer length = 3", id="whipple refuses"),
-    # degree**2 times the bit length of the Cauchy bound 2 + c: 4 * 7 = 28, then 4 * 8 = 32
-    pytest.param(28, lambda: recognize(quadratic(125)).series.upper, (125,), id="root isolation admits"),
-    pytest.param(28, lambda: recognize(quadratic(126)), "root isolation steps = 32", id="root isolation refuses"),
+    # degree**2 times the bit length of the root bound 2**bits(c + 1): 4 * 7 = 28, then 4 * 8 = 32
+    pytest.param(28, lambda: recognize(quadratic(62)).series.upper, (62,), id="root isolation admits"),
+    pytest.param(28, lambda: recognize(quadratic(63)), "root isolation steps = 32", id="root isolation refuses"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 1), Fraction(1, 2), id="term_at admits"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 2), "term index = 2", id="term_at refuses"),
     too_long_to_print(lambda: eval_exact(HypSeries([-LONG], [], 1)), "termination index of 16610 bits", "eval_exact, long"),
