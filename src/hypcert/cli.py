@@ -30,7 +30,8 @@ from .whipple import match_whipple, rhs_exact_terminating, rhs_numeric
 
 __all__ = ["ParseError", "ZeroDenominator", "parse_rational", "run", "main"]
 
-_DIGITS = set("0123456789")
+# [0-9], not \d: \d also matches non-ASCII digits such as "١", which int() reads
+_RATIONAL = re.compile(r"[+-]?([0-9]*)(?:/([0-9]*))?")
 
 
 class ParseError(ValueError):
@@ -48,35 +49,22 @@ class ZeroDenominator(ParseError):
 def parse_rational(text: str, base: int = 0) -> Fraction:
     """Parse "p", "+p", "-p", or "p/q" into a canonical rational; ``base``
     is the byte offset of text in a longer value, added to a fault's offset."""
-
-    def byte_offset(char_index: int) -> int:
-        return base + len(text[:char_index].encode("utf-8"))
-
-    i = 0
-    if i < len(text) and text[i] in "+-":
-        i += 1
-    start = i
-    while i < len(text) and text[i] in _DIGITS:
-        i += 1
-    if i == start:
-        raise ParseError("expected a digit", byte_offset(i))
-    numerator = int(text[:i])
-    if i == len(text):
-        return Fraction(numerator)
-    if text[i] != "/":
-        raise ParseError(f"unexpected character {text[i]!r}", byte_offset(i))
-    i += 1
-    den_start = i
-    while i < len(text) and text[i] in _DIGITS:
-        i += 1
-    if i == den_start:
-        raise ParseError("expected a digit after '/'", byte_offset(i))
-    if i != len(text):
-        raise ParseError(f"unexpected character {text[i]!r}", byte_offset(i))
-    denominator = int(text[den_start:])
-    if denominator == 0:
-        raise ZeroDenominator("denominator must be nonzero", byte_offset(den_start))
-    return Fraction(numerator, denominator)
+    match = _RATIONAL.match(text)
+    numerator, denominator = match.group(1, 2)
+    # every fault is at or before the end of the match, which is ASCII, so
+    # a character index up to it is also a byte offset
+    at = match.end()
+    if not numerator:
+        message, at = "expected a digit", match.start(1)
+    elif denominator == "":
+        message, at = "expected a digit after '/'", match.start(2)
+    elif at < len(text):
+        message = f"unexpected character {text[at]!r}"
+    elif denominator and not int(denominator):
+        raise ZeroDenominator("denominator must be nonzero", base + match.start(2))
+    else:
+        return Fraction(int(text[: match.end(1)]), int(denominator or 1))
+    raise ParseError(message, base + at)
 
 
 def _parse_list(text: str, integers: bool = False) -> list:
@@ -173,6 +161,14 @@ def _emit_table(doc: dict, out) -> None:
         out.write(f"{key}: {_csv_cell(value)}\n")
 
 
+def _value_or_note(step):
+    """(step(), None), or (None, message) if the step raised a HypergeometricError."""
+    try:
+        return step(), None
+    except HypergeometricError as exc:
+        return None, str(exc)
+
+
 # Each _cmd_* fills the inputs dict it is given before any work that can
 # fail, then returns (exit code, results, summary); run() builds the
 # document from them, and the error document of a HypergeometricError.
@@ -183,19 +179,13 @@ def _cmd_eval(args, inputs):
     cls = classify(series)
     inputs.update(_params(series), numeric=bool(args.numeric), tol=args.tol if args.numeric else None)
     result = {**_params(series.canonical()), "classification": str(cls)}
-    status = "ok"
-    exit_code = 0
-    try:
-        if args.numeric:
-            result["value"] = eval_numeric(series, args.tol)
-        else:
-            result["value"] = _exact_text(eval_exact(series))
-    except HypergeometricError as exc:
-        result["value"] = None
-        status = f"error: {exc}"
-        exit_code = 1
+    if args.numeric:
+        result["value"], note = _value_or_note(lambda: eval_numeric(series, args.tol))
+    else:
+        result["value"], note = _value_or_note(lambda: _exact_text(eval_exact(series)))
+    status = "ok" if note is None else f"error: {note}"
     summary = {"classification": {"kind": cls.kind.value, "index": cls.index}, "status": status}
-    return exit_code, [result], summary
+    return (0 if note is None else 1), [result], summary
 
 
 def _cmd_recognize(args, inputs):
@@ -215,18 +205,8 @@ def _cmd_whipple(args, inputs):
     if match is None:
         return 1, [], {"status": "no-match"}
     result: dict = {"a": str(match.a), "b": str(match.b), "c": str(match.c)}
-    try:
-        result["exact"] = _exact_text(rhs_exact_terminating(match))
-        result["exact_note"] = None
-    except HypergeometricError as exc:
-        result["exact"] = None
-        result["exact_note"] = str(exc)
-    try:
-        result["numeric"] = rhs_numeric(match)
-        result["numeric_note"] = None
-    except HypergeometricError as exc:
-        result["numeric"] = None
-        result["numeric_note"] = str(exc)
+    result["exact"], result["exact_note"] = _value_or_note(lambda: _exact_text(rhs_exact_terminating(match)))
+    result["numeric"], result["numeric_note"] = _value_or_note(lambda: rhs_numeric(match))
     return 0, [result], {"status": "matched"}
 
 

@@ -242,8 +242,8 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
     can have one accidental near-cancellation.  A nonterminating sum is
     stopped and refused after ``DEFAULT_MAX_TERMS`` terms.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     cls = classify(s)
     if cls.kind is SeriesKind.ILL_POSED:
         raise HypergeometricError(f"lower-parameter pole at index {cls.index} in {s}")

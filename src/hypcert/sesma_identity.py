@@ -153,6 +153,25 @@ def rewrite(k: int, m: int) -> PrefactoredSeries:
     return PrefactoredSeries(prefactor=prefactor, series=series)
 
 
+def _via_series(k: int, m: int, prefactored: PrefactoredSeries) -> Fraction:
+    return prefactored.prefactor * eval_exact(prefactored.series)
+
+
+def _via_whipple(k: int, m: int, prefactored: PrefactoredSeries) -> Fraction:
+    match = match_whipple(prefactored.series)
+    if match is None or (match.a, match.b, match.c) != (k + 1, -m, m + 1):
+        raise HypergeometricError(f"matched {match}, expected (a, b, c) = ({k + 1}, {-m}, {m + 1})")
+    return prefactored.prefactor * rhs_exact_terminating(match)
+
+
+def _value_or_error(step, *args):
+    """step(*args), or the text ``error: <message>`` if the step raised."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return f"error: {exc}"
+
+
 def verify(k: int, m: int) -> IdentityReport:
     """Run all three pathways for one (k, m) and report their values.
 
@@ -162,30 +181,13 @@ def verify(k: int, m: int) -> IdentityReport:
     :class:`TermBudgetExceeded` before any pathway runs.
     """
     _check_km(k, m)
-    try:
-        direct = lhs_sum(k, m)
-    except Exception as exc:
-        direct = f"error: {exc}"
-
-    try:
-        prefactored = rewrite(k, m)
-    except Exception as exc:
-        return IdentityReport(k, m, direct, f"error: {exc}", f"error: {exc}")
-
-    try:
-        via_series = prefactored.prefactor * eval_exact(prefactored.series)
-    except Exception as exc:
-        via_series = f"error: {exc}"
-
-    try:
-        match = match_whipple(prefactored.series)
-        if match is None or (match.a, match.b, match.c) != (k + 1, -m, m + 1):
-            raise HypergeometricError(f"matched {match}, expected (a, b, c) = ({k + 1}, {-m}, {m + 1})")
-        via_whipple = prefactored.prefactor * rhs_exact_terminating(match)
-    except Exception as exc:
-        via_whipple = f"error: {exc}"
-
-    return IdentityReport(k, m, direct, via_series, via_whipple)
+    direct = _value_or_error(lhs_sum, k, m)
+    prefactored = _value_or_error(rewrite, k, m)
+    if isinstance(prefactored, str):
+        via = [prefactored] * 2
+    else:
+        via = [_value_or_error(pathway, k, m, prefactored) for pathway in (_via_series, _via_whipple)]
+    return IdentityReport(k, m, direct, *via)
 
 
 def _verify_pair(pair: tuple[int, int]) -> IdentityReport:
@@ -202,6 +204,8 @@ def sweep(k_max: int, jobs: int = 1) -> list[IdentityReport]:
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     check_budget((k_max + 1) * (k_max + 2) // 2, "pair count")
     pairs = [(k, m) for k in range(k_max + 1) for m in range(k + 1)]
     # a fork pool starts all max_workers at once, so never ask for more

@@ -46,6 +46,9 @@ class TestParseRational:
             ("1.5", 1),
             ("-", 1),
             ("3 /2", 1),
+            ("+-1", 1),
+            ("١", 0),  # an Arabic-Indic digit is not an ASCII digit
+            ("1/½", 2),
         ],
     )
     def test_malformed_with_offset(self, text, offset):
@@ -345,6 +348,21 @@ class TestUsageErrors:
         ],
     )
     def test_list_item_offset_counts_from_the_value_start(self, argv, message):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--max-k", "3", "--jobs", "0"], "jobs must be at least 1, got 0"),
+            (
+                ["eval", "--upper", "1", "--lower", "3", "--z", "1/2", "--numeric", "--tol", "inf"],
+                "tolerance must be positive and finite, got inf",
+            ),
+        ],
+    )
+    def test_malformed_number_argument(self, argv, message):
         code, out, err = invoke(argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}\n")

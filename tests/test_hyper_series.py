@@ -244,9 +244,10 @@ class TestEvalNumeric:
         with pytest.raises(HypergeometricError, match="no convergence after 10 terms"):
             eval_numeric(series([1, 1], [2], Fraction(99, 100)), 1e-14)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            eval_numeric(series([-2], [], 1), 0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be positive and finite"):
+            eval_numeric(series([-2], [], 1), tol)
 
     def test_parameter_past_the_float_range_refused(self):
         for s in (series([10**400], [1], Fraction(1, 2)), series([], [1], 10**400)):

@@ -258,6 +258,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(-1)
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            sweep(3, jobs=jobs)
+
     def test_real_budget_admits_k_445_and_refuses_446(self, monkeypatch):
         # a stand-in verify keeps the 99,681 pairs of k_max = 445 cheap
         monkeypatch.setattr(sesma_identity, "verify", lambda k, m: (k, m))
@@ -301,6 +306,7 @@ class TestContainedFailure:
             ("lhs_sum", {"direct"}),
             ("rewrite", {"via_series", "via_whipple"}),
             ("eval_exact", {"via_series"}),
+            ("match_whipple", {"via_whipple"}),
             ("rhs_exact_terminating", {"via_whipple"}),
         ],
     )
@@ -313,6 +319,17 @@ class TestContainedFailure:
         for slot in ("direct", "via_series", "via_whipple"):
             assert getattr(report, slot) == ("error: injected" if slot in slots else Fraction(1))
         assert not report.all_equal_one
+
+    def test_rewrite_runs_once_per_pair(self, monkeypatch):
+        calls = []
+
+        def recording(k, m):
+            calls.append((k, m))
+            return rewrite(k, m)
+
+        monkeypatch.setattr(sesma_identity, "rewrite", recording)
+        assert verify(5, 2).all_equal_one
+        assert calls == [(5, 2)]
 
     def test_report_with_an_error_survives_pickle(self):
         report = IdentityReport(3, 1, "error: injected", Fraction(1), Fraction(1))
