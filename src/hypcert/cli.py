@@ -48,9 +48,12 @@ class ZeroDenominator(ParseError):
 
 def parse_rational(text: str, base: int = 0) -> Fraction:
     """Parse "p", "+p", "-p", or "p/q" into a canonical rational; ``base``
-    is the byte offset of text in a longer value, added to a fault's offset."""
+    is the byte offset of text in a longer value, added to a fault's offset.
+    A digit run longer than Python's int-to-str digit limit is refused at
+    its start, where that limit exists."""
     match = _RATIONAL.match(text)
     numerator, denominator = match.group(1, 2)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     # every fault is at or before the end of the match, which is ASCII, so
     # a character index up to it is also a byte offset
     at = match.end()
@@ -60,6 +63,8 @@ def parse_rational(text: str, base: int = 0) -> Fraction:
         message, at = "expected a digit after '/'", match.start(2)
     elif at < len(text):
         message = f"unexpected character {text[at]!r}"
+    elif long_runs := [i for i in (1, 2) if 0 < limit < len(match.group(i) or "")]:
+        message, at = f"numeral longer than {limit} digits", match.start(long_runs[0])
     elif denominator and not int(denominator):
         raise ZeroDenominator("denominator must be nonzero", base + match.start(2))
     else:
@@ -107,14 +112,12 @@ def _exact_text(value: Fraction) -> str:
 
 
 def _report_fields(report: IdentityReport) -> dict:
-    return {
-        "k": report.k,
-        "m": report.m,
-        "direct": str(report.direct),
-        "via_series": str(report.via_series),
-        "via_whipple": str(report.via_whipple),
-        "all_equal_one": report.all_equal_one,
-    }
+    fields: dict = {"k": report.k, "m": report.m}
+    for slot in ("direct", "via_series", "via_whipple"):
+        text, note = _value_or_note(lambda: _exact_text(getattr(report, slot)))
+        fields[slot] = text if note is None else f"error: {note}"
+    fields["all_equal_one"] = report.all_equal_one
+    return fields
 
 
 def _emit(doc: dict, fmt: str, out) -> None:

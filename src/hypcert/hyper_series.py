@@ -141,7 +141,8 @@ class Classification(Record):
         return f"{self.kind.value}({self.index})"
 
 
-def _min_termination_index(params: tuple[Fraction, ...]) -> int | None:
+def min_termination_index(params: Iterable[Fraction]) -> int | None:
+    """Least N >= 0 with -N among params (where a series stops), or None."""
     hits = [-p.numerator for p in params if is_nonpositive_integer(p)]
     return min(hits) if hits else None
 
@@ -156,8 +157,8 @@ def classify(s: HypSeries) -> Classification:
     p = q + 1 inside the unit circle plus the parametric-excess conditions
     on its boundary, and p > q + 1 only at z = 0.
     """
-    n_term = _min_termination_index(s.upper)
-    n_pole = _min_termination_index(s.lower)
+    n_term = min_termination_index(s.upper)
+    n_pole = min_termination_index(s.lower)
     if n_pole is not None and (n_term is None or n_pole < n_term):
         return Classification(SeriesKind.ILL_POSED, n_pole)
     if n_term is not None:

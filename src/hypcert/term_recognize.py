@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import HypergeometricError
-from .hyper_series import HypSeries, PrefactoredSeries, check_budget
+from .hyper_series import HypSeries, PrefactoredSeries, check_budget, min_termination_index
 from .record import Record
 
 __all__ = [
@@ -250,25 +250,20 @@ def recognize(r: TermRatio) -> PrefactoredSeries:
     p_roots, p_rest = _split(r.num)
     q_roots, q_rest = _split(r.den)
     if not _proportional(p_rest, q_rest):
-        # name a side that keeps a cofactor, with the shared linear factors divided out
-        side, poly = ("numerator", r.num) if len(p_rest) > 1 else ("denominator", r.den)
-        coeffs = list(poly.coefficients)
-        for root in (p_roots & q_roots).elements():
-            coeffs = _deflate(coeffs, root)
-        raise HypergeometricError(f"{side} {IntPolynomial(coeffs)} has an irreducible nonlinear cofactor")
-    upper_roots, lower_roots = p_roots - q_roots, q_roots - p_roots
+        side, rest = ("numerator", p_rest) if len(p_rest) > 1 else ("denominator", q_rest)
+        raise HypergeometricError(f"{side} {IntPolynomial(rest)} has an irreducible nonlinear cofactor")
+    upper = [-root for root in (p_roots - q_roots).elements()]
+    lower = [-root for root in (q_roots - p_roots).elements()]
 
     # poles on the summation path: the ORIGINAL denominator must not vanish
     # at any integer 0 <= n < termination index (anywhere, if the reduced
     # term never terminates); this also rejects shared integer roots of
     # P and Q, where the given ratio itself is a 0/0 and not a valid term
-    n_term = min((int(x) for x in upper_roots if x.denominator == 1 and x >= 0), default=None)
+    n_term = min_termination_index(upper)
     for root in sorted(q_roots):
         if root.denominator == 1 and root >= 0 and (n_term is None or root < n_term):
             raise HypergeometricError(f"denominator vanishes at n = {root}")
 
-    upper = [-root for root in upper_roots.elements()]
-    lower = [-root for root in lower_roots.elements()]
     if Fraction(1) in lower:
         lower.remove(Fraction(1))  # the n! factor of the normal form
     else:

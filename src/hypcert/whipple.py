@@ -4,10 +4,11 @@ summed by Whipple's second theorem:
     4F3(a, 1+a/2, b, c; a/2, a-b+1, a-c+1; -1)
         = Gamma(a-b+1) Gamma(a-c+1) / (Gamma(a+1) Gamma(a-b-c+1))
 
-Two verified regimes are supported: terminating instances (b or c a
-nonpositive integer) evaluate exactly as a Pochhammer ratio, and instances
-with all four Gamma arguments positive evaluate numerically through
-log-gamma.  Anything else is refused rather than analytically continued.
+Two verified regimes are supported: terminating instances evaluate
+exactly as a Pochhammer ratio, where the series must stop at the shorter
+of -b and -c or the closed form is refused, and instances with all four
+Gamma arguments positive evaluate numerically through log-gamma.  Anything
+else is refused rather than analytically continued.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import HypergeometricError
-from .hyper_series import HypSeries, check_budget, is_nonpositive_integer
+from .hyper_series import Classification, HypSeries, SeriesKind, check_budget, classify, min_termination_index
 from .record import Record
 
 __all__ = ["WhippleMatch", "match_whipple", "rhs_exact_terminating", "log_gamma", "rhs_numeric"]
@@ -76,23 +77,29 @@ def match_whipple(s: HypSeries) -> WhippleMatch | None:
     return None
 
 
+def _series(m: WhippleMatch) -> HypSeries:
+    return HypSeries((m.a, 1 + m.a / 2, m.b, m.c), (m.a / 2, m.a - m.b + 1, m.a - m.c + 1), -1)
+
+
 def rhs_exact_terminating(m: WhippleMatch) -> Fraction:
     """Closed form for a terminating match, reduced to a Pochhammer ratio.
 
-    With b = -M the Gamma ratio collapses to (a+1)_M / (a-c+1)_M; the right
-    side is symmetric in b and c, so a terminating c is swapped into the b
-    slot first.  A length M over the term budget is refused with
-    :class:`TermBudgetExceeded` before any factor is computed.
+    The series must stop at M, the shorter of -b and -c; the Gamma ratio,
+    symmetric in b and c, is (a+1)_M / (a-c+1)_M at b = -M.  Only an a <= 0
+    can stop the series sooner or put a pole at a/2, so then it must
+    :func:`classify` as terminating at M; any other pole before M zeroes
+    (a-c+1)_M.  An M over the term budget raises :class:`TermBudgetExceeded` first.
     """
-    b, c = m.b, m.c
-    if not is_nonpositive_integer(b):
-        if not is_nonpositive_integer(c):
-            raise HypergeometricError(f"neither b = {b} nor c = {c} is a nonpositive integer")
-        b, c = c, b
-    shift = -int(b)
+    shift = min_termination_index((m.b, m.c))
+    if shift is None:
+        raise HypergeometricError(f"neither b = {m.b} nor c = {m.c} is a nonpositive integer")
     check_budget(shift, "Pochhammer length")
-    # one integer ratio of the two products, reduced once
-    (p, q), (r, t) = (m.a + 1).as_integer_ratio(), (m.a - c + 1).as_integer_ratio()
+    if m.a <= 0 and (cls := classify(_series(m))) != Classification(SeriesKind.TERMINATING, shift):
+        raise HypergeometricError(f"the series is {cls}, the closed form needs terminating({shift})")
+    c = m.c if m.b == -shift else m.b
+    # (a+1)_M and (a-c+1)_M from reduced int pairs, as one integer ratio reduced once
+    a = m.a.as_integer_ratio()
+    (p, q), (r, t) = _plus_one_minus(a, (0, 1)), _plus_one_minus(a, c.as_integer_ratio())
     num, den = math.prod(range(p, p + shift * q, q)), math.prod(range(r, r + shift * t, t))
     if den == 0:
         raise HypergeometricError(f"({m.a - c + 1})_{shift} = 0 in the closed form")

@@ -3,12 +3,17 @@ import io
 import json
 import math
 import multiprocessing
+import sys
 from fractions import Fraction
 
 import pytest
 
 from hypcert import hyper_series, sesma_identity
 from hypcert.cli import ParseError, ZeroDenominator, parse_rational, run
+
+needs_str_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit on this Python"
+)
 
 
 def invoke(argv):
@@ -49,6 +54,10 @@ class TestParseRational:
             ("+-1", 1),
             ("١", 0),  # an Arabic-Indic digit is not an ASCII digit
             ("1/½", 2),
+            # a numeral past the int-to-str digit limit, at its first digit
+            pytest.param("7" * 5000, 0, id="long-integer", marks=needs_str_digit_limit),
+            pytest.param("-1/" + "7" * 5000, 3, id="long-denominator", marks=needs_str_digit_limit),
+            pytest.param("7" * 5000 + "/3", 0, id="long-numerator", marks=needs_str_digit_limit),
         ],
     )
     def test_malformed_with_offset(self, text, offset):
@@ -162,6 +171,24 @@ class TestWhippleCommand:
         assert result["exact"] == str((a + 1) * (a + 2) / ((a - c + 1) * (a - c + 2)))
         assert (result["numeric"], result["numeric_note"]) == (None, "a Gamma argument is past the float range")
 
+    def test_series_that_stops_before_the_closed_form_has_no_exact_value(self):
+        # a = -6 and 1 + a/2 = -2 stop the series at 2, before b = -8 does
+        argv = ["whipple", "--upper", "-6,-2,-8,-9/2", "--lower", "-3,3,-1/2", "--z", "-1", "--format", "json"]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert (result["a"], result["b"], result["c"]) == ("-6", "-8", "-9/2")
+        assert result["exact"] is None
+        assert result["exact_note"] == "the series is terminating(2), the closed form needs terminating(8)"
+
+    def test_shorter_of_b_and_c_sets_the_length(self):
+        # b = -10^9 is over the term budget, but c = -1 stops the series at 1
+        argv = ["whipple", "--upper", "2,2,-1000000000,-1", "--lower", "1,1000000003,4", "--z", "-1", "--format", "json"]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert (result["exact"], result["exact_note"]) == ("3/1000000003", None)
+
     def test_no_match_exits_one(self):
         code, out, _ = invoke(
             ["whipple", "--upper", "3,5/2,-1,2", "--lower", "3/2,5,2", "--z", "1", "--format", "json"]
@@ -189,6 +216,30 @@ class TestVerifyCommand:
     def test_invalid_km_is_usage_error(self):
         code, _, _ = invoke(["verify", "1", "2"])
         assert code == 2
+
+
+def sweep_with_fault_at_3_1(monkeypatch, jobs, fault):
+    """Run sweep --max-k 5 with lhs_sum replaced by fault() at (3, 1); check
+    that only that row fails, and return its direct cell."""
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the injected fault only when they are forked")
+    real_lhs_sum = sesma_identity.lhs_sum
+
+    def faulty_lhs_sum(k, m):
+        return fault() if (k, m) == (3, 1) else real_lhs_sum(k, m)
+
+    monkeypatch.setattr(sesma_identity, "lhs_sum", faulty_lhs_sum)
+    monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 2)
+    code, out, _ = invoke(["sweep", "--max-k", "5", "--jobs", jobs, "--format", "json"])
+    assert code == 1
+    doc = json.loads(out)
+    assert [(r["k"], r["m"]) for r in doc["results"]] == [(k, m) for k in range(6) for m in range(k + 1)]
+    [row] = [r for r in doc["results"] if not r["all_equal_one"]]
+    assert {**row, "direct": None} == {
+        "k": 3, "m": 1, "direct": None, "via_series": "1", "via_whipple": "1", "all_equal_one": False
+    }
+    assert doc["summary"]["line"] == "20/21 pass"
+    return row["direct"]
 
 
 class TestSweepCommand:
@@ -227,25 +278,16 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_pair_is_a_failing_row(self, monkeypatch, jobs):
-        if jobs != "1" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers see the injected fault only when they are forked")
-        real_lhs_sum = sesma_identity.lhs_sum
+        def fault():
+            raise ArithmeticError("injected")
 
-        def failing_lhs_sum(k, m):
-            if (k, m) == (3, 1):
-                raise ArithmeticError("injected")
-            return real_lhs_sum(k, m)
+        assert sweep_with_fault_at_3_1(monkeypatch, jobs, fault) == "error: injected"
 
-        monkeypatch.setattr(sesma_identity, "lhs_sum", failing_lhs_sum)
-        monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 2)
-        code, out, _ = invoke(["sweep", "--max-k", "5", "--jobs", jobs, "--format", "json"])
-        assert code == 1
-        doc = json.loads(out)
-        assert [(r["k"], r["m"]) for r in doc["results"]] == [(k, m) for k in range(6) for m in range(k + 1)]
-        assert [r for r in doc["results"] if not r["all_equal_one"]] == [
-            {"k": 3, "m": 1, "direct": "error: injected", "via_series": "1", "via_whipple": "1", "all_equal_one": False}
-        ]
-        assert doc["summary"]["line"] == "20/21 pass"
+    @needs_str_digit_limit
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_value_too_long_to_print_is_a_failing_row(self, monkeypatch, jobs):
+        cell = sweep_with_fault_at_3_1(monkeypatch, jobs, lambda: Fraction(10**5000))
+        assert cell == f"error: exact value too long to print (over {sys.get_int_max_str_digits()} digits)"
 
     def test_over_the_term_budget_exits_one(self, monkeypatch):
         monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 9)
@@ -359,6 +401,12 @@ class TestUsageErrors:
             (
                 ["eval", "--upper", "1", "--lower", "3", "--z", "1/2", "--numeric", "--tol", "inf"],
                 "tolerance must be positive and finite, got inf",
+            ),
+            pytest.param(
+                ["eval", "--upper", "1", "--lower", "3", "--z", "1/" + "7" * 5000],
+                f"numeral longer than {getattr(sys, 'get_int_max_str_digits', lambda: 0)()} digits (byte offset 2)",
+                id="numeral-past-the-digit-limit",
+                marks=needs_str_digit_limit,
             ),
         ],
     )

@@ -83,9 +83,16 @@ class TestClassify:
     def test_negative_unit_argument_relaxed_by_one(self):
         assert classify(series([1, 2], [3], -1)).kind is SeriesKind.CONVERGENT
         assert classify(series([1, 3], [2], -1)).kind is SeriesKind.DIVERGENT
+        assert classify(series([1, 1], [1], -1)).kind is SeriesKind.DIVERGENT  # excess exactly -1
 
     def test_more_lower_than_upper_converges_everywhere(self):
         assert classify(series([1], [2, 3], 100)).kind is SeriesKind.CONVERGENT
+
+    def test_as_many_upper_as_lower_converges_everywhere(self):
+        assert classify(series([1], [2], 2)).kind is SeriesKind.CONVERGENT
+        # on the unit circle too, where p = q + 1 would need a positive excess
+        for z in (1, -1):
+            assert classify(series([3], [1], z)).kind is SeriesKind.CONVERGENT
 
     def test_too_many_upper_diverges_except_origin(self):
         assert classify(series([1, 2, 3], [4], Fraction(1, 2))).kind is SeriesKind.DIVERGENT

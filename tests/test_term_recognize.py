@@ -195,10 +195,17 @@ class TestRecognize:
         )
         with pytest.raises(HypergeometricError, match="has an irreducible nonlinear cofactor"):
             recognize(ratio)
-        # only the side that keeps a cofactor is named, with shared linear factors divided out
+        # only the side that keeps a cofactor is named, by that cofactor alone
         ratio = TermRatio(
             num=IntPolynomial([1, 1]) * IntPolynomial([3, 1]),  # (n+1)(n+3)
             den=IntPolynomial([1, 1]) * IntPolynomial([1, 0, 1]),  # (n+1)(n^2+1)
+            t0=Fraction(1),
+        )
+        with pytest.raises(HypergeometricError, match=r"^denominator 1 \+n\^2 has an irreducible nonlinear cofactor"):
+            recognize(ratio)
+        ratio = TermRatio(
+            num=IntPolynomial([1, 1]),  # n+1
+            den=IntPolynomial([2, 1]) * IntPolynomial([1, 0, 1]),  # (n+2)(n^2+1)
             t0=Fraction(1),
         )
         with pytest.raises(HypergeometricError, match=r"^denominator 1 \+n\^2 has an irreducible nonlinear cofactor"):

@@ -181,6 +181,27 @@ class TestRhsExactTerminating:
             two = rhs_exact_terminating(WhippleMatch(Fraction(9, 2), Fraction(c), Fraction(b)))
             assert one == two
 
+    def test_shorter_of_b_and_c_sets_the_length(self):
+        # b = -10**9 is over the budget, but the series stops at c = -1
+        m = WhippleMatch(Fraction(2), Fraction(-(10**9)), Fraction(-1))
+        assert rhs_exact_terminating(m) == Fraction(3, 1000000003)
+
+    def test_series_that_stops_sooner_is_refused(self):
+        # a = -6 and 1 + a/2 = -2 stop the series at 2, before b = -8 does
+        m = WhippleMatch(Fraction(-6), Fraction(-8), Fraction(-9, 2))
+        assert eval_exact(whipple_series(m.a, m.b, m.c)) == -1565
+        needs = r"^the series is terminating\(2\), the closed form needs terminating\(8\)$"
+        with pytest.raises(HypergeometricError, match=needs):
+            rhs_exact_terminating(m)
+        # a = 0 stops the series at once
+        with pytest.raises(HypergeometricError, match=r"^the series is terminating\(0\)"):
+            rhs_exact_terminating(WhippleMatch(Fraction(0), Fraction(-2), Fraction(1, 2)))
+
+    def test_nonpositive_a_with_a_pole_first_is_refused(self):
+        # a - c + 1 = -1 is a pole at 1, before b = -3 stops the series
+        with pytest.raises(HypergeometricError, match=r"^the series is ill_posed\(1\)"):
+            rhs_exact_terminating(WhippleMatch(Fraction(-1, 2), Fraction(-3), Fraction(3, 2)))
+
     def test_not_terminating(self):
         with pytest.raises(HypergeometricError, match="^neither b = 1/2 nor c = 2 is a nonpositive integer"):
             rhs_exact_terminating(WhippleMatch(Fraction(3), Fraction(1, 2), Fraction(2)))
@@ -200,6 +221,35 @@ class TestRhsExactTerminating:
             m = random_terminating_match(rng)
             series = whipple_series(m.a, m.b, m.c)
             assert eval_exact(series) == rhs_exact_terminating(m)
+
+
+def random_whipple_parameters(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
+    """a = p/q nonzero with |a| <= 30 and q <= 3; b and c integers or halves,
+    at least one of them a nonpositive integer."""
+    q = rng.randint(1, 3)
+    a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30 * q), q)
+    b, c = (Fraction(rng.randint(-40, 40), rng.choice([1, 2])) for _ in range(2))
+    if rng.random() < 0.5:
+        return a, Fraction(-rng.randint(0, 20)), c
+    return a, b, Fraction(-rng.randint(0, 20))
+
+
+def test_closed_form_is_the_series_sum_or_refused():
+    """Across the regime, at a <= 0 too: a closed-form value is the exact sum
+    of the matched series, and a series with no exact sum has no value."""
+    rng = random.Random(2026)
+    matches = 0
+    while matches < 100_000:
+        series = whipple_series(*random_whipple_parameters(rng))
+        m = match_whipple(series)
+        if m is None:
+            continue
+        matches += 1
+        try:
+            value = rhs_exact_terminating(m)
+        except HypergeometricError:
+            continue
+        assert eval_exact(series) == value, m  # raises if the series has no exact sum
 
 
 class TestLogGamma:
