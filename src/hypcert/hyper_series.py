@@ -241,7 +241,8 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
     once three consecutive terms fall below tol * max(1, |partial sum|); a
     single small term is not trusted because alternating series at z = -1
     can have one accidental near-cancellation.  A nonterminating sum is
-    stopped and refused after ``DEFAULT_MAX_TERMS`` terms.
+    stopped and refused after ``DEFAULT_MAX_TERMS`` terms, and a sum that
+    is not a finite float (an overflow, or a NaN from inf - inf) is refused.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -269,7 +270,7 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
         comp = (t - total) - y
         total = t
         if n == cls.index:
-            return total  # a lower pole AT the index would make t_{N+1} a 0/0
+            break  # a lower pole AT the index would make t_{N+1} a 0/0
         num = math.prod(a + n for a in upper)
         den = math.prod(b + n for b in lower) * (n + 1)
         term *= num / den * z
@@ -277,10 +278,12 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
             if abs(term) < tol * max(1.0, abs(total)):
                 small_streak += 1
                 if small_streak >= 3:
-                    return total
+                    break
             else:
                 small_streak = 0
-    raise HypergeometricError(
-        f"no convergence after {DEFAULT_MAX_TERMS} terms of {s} at tolerance {tol}"
-    )
+    else:
+        raise HypergeometricError(f"no convergence after {DEFAULT_MAX_TERMS} terms of {s} at tolerance {tol}")
+    if not math.isfinite(total):
+        raise HypergeometricError(f"the sum of {s} is past the float range")
+    return total
 

@@ -4,16 +4,19 @@ summed by Whipple's second theorem:
     4F3(a, 1+a/2, b, c; a/2, a-b+1, a-c+1; -1)
         = Gamma(a-b+1) Gamma(a-c+1) / (Gamma(a+1) Gamma(a-b-c+1))
 
-Two verified regimes are supported: terminating instances evaluate
-exactly as a Pochhammer ratio, where the series must stop at the shorter
-of -b and -c or the closed form is refused, and instances with all four
-Gamma arguments positive evaluate numerically through log-gamma.  Anything
-else is refused rather than analytically continued.
+Both closed forms hold only where :func:`classify` finds the matched
+series terminating at the shorter of -b and -c or, when neither is a
+nonpositive integer, convergent; that one rule decides the domain of each.
+Terminating instances evaluate exactly as a Pochhammer ratio.  The numeric
+form goes through log-gamma and further needs all four Gamma arguments
+positive and a finite float result.  Anything else is refused rather than
+analytically continued.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import HypergeometricError
@@ -77,8 +80,13 @@ def match_whipple(s: HypSeries) -> WhippleMatch | None:
     return None
 
 
-def _series(m: WhippleMatch) -> HypSeries:
-    return HypSeries((m.a, 1 + m.a / 2, m.b, m.c), (m.a / 2, m.a - m.b + 1, m.a - m.c + 1), -1)
+def _check_regime(m: WhippleMatch, shift: int | None) -> None:
+    """Refuse a match whose series does not :func:`classify` as terminating
+    at ``shift`` or, for a ``shift`` of None, as convergent."""
+    need = Classification(SeriesKind.CONVERGENT if shift is None else SeriesKind.TERMINATING, shift)
+    cls = classify(HypSeries((m.a, 1 + m.a / 2, m.b, m.c), (m.a / 2, m.a - m.b + 1, m.a - m.c + 1), -1))
+    if cls != need:
+        raise HypergeometricError(f"the series is {cls}, the closed form needs {need}")
 
 
 def rhs_exact_terminating(m: WhippleMatch) -> Fraction:
@@ -94,8 +102,8 @@ def rhs_exact_terminating(m: WhippleMatch) -> Fraction:
     if shift is None:
         raise HypergeometricError(f"neither b = {m.b} nor c = {m.c} is a nonpositive integer")
     check_budget(shift, "Pochhammer length")
-    if m.a <= 0 and (cls := classify(_series(m))) != Classification(SeriesKind.TERMINATING, shift):
-        raise HypergeometricError(f"the series is {cls}, the closed form needs terminating({shift})")
+    if m.a <= 0:
+        _check_regime(m, shift)
     c = m.c if m.b == -shift else m.b
     # (a+1)_M and (a-c+1)_M from reduced int pairs, as one integer ratio reduced once
     a = m.a.as_integer_ratio()
@@ -128,6 +136,7 @@ _LANCZOS_COEFFS = (
     0.36899182659531622704e-5,
 )
 _LN_SQRT_2PI = 0.9189385332046727
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def log_gamma(x: float) -> float:
@@ -151,14 +160,20 @@ def log_gamma(x: float) -> float:
 def rhs_numeric(m: WhippleMatch) -> float:
     """Gamma-ratio closed form evaluated in floating point.
 
-    All four Gamma arguments must be strictly positive; sign bookkeeping via
-    the reflection formula is deliberately out of scope.
+    All four Gamma arguments must be strictly positive, and the series must
+    stop at the shorter of -b and -c or, when neither is a nonpositive
+    integer, converge; sign bookkeeping via the reflection formula is
+    deliberately out of scope.  A ratio past the float range is refused.
     """
     args = (m.a - m.b + 1, m.a - m.c + 1, m.a + 1, m.a - m.b - m.c + 1)
     if any(arg <= 0 for arg in args):
         raise HypergeometricError(f"nonpositive Gamma argument among {tuple(str(a) for a in args)}")
+    _check_regime(m, min_termination_index((m.b, m.c)))
     try:
         num1, num2, den1, den2 = (float(arg) for arg in args)
     except OverflowError:
         raise HypergeometricError("a Gamma argument is past the float range") from None
-    return math.exp(log_gamma(num1) + log_gamma(num2) - log_gamma(den1) - log_gamma(den2))
+    log_ratio = log_gamma(num1) + log_gamma(num2) - log_gamma(den1) - log_gamma(den2)
+    if not log_ratio < _LOG_FLOAT_MAX:  # also a NaN from inf - inf
+        raise HypergeometricError("the Gamma ratio is past the float range")
+    return math.exp(log_ratio)

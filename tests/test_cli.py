@@ -103,6 +103,15 @@ class TestEvalCommand:
         # 1F1(1; 2; 1/2) = 2(e^(1/2) - 1)
         assert abs(doc["results"][0]["value"] - 1.2974425414002564) < 1e-9
 
+    def test_numeric_sum_past_the_float_range_is_an_error(self):
+        big = str(10**200)
+        code, out, _ = invoke(["eval", "--upper", f"-3,{big}", "--lower", "1", "--z", big, "--numeric", "--format", "json"])
+        assert code == 1
+        assert "NaN" not in out
+        doc = json.loads(out)
+        assert doc["results"][0]["value"] is None
+        assert doc["summary"]["status"].endswith(" is past the float range")
+
     def test_empty_parameter_lists(self):
         # 0F0(;; z) = e^z: nonterminating, so the exact path refuses it
         code, out, _ = invoke(["eval", "--z", "1/3", "--format", "json"])
@@ -147,6 +156,12 @@ class TestRecognizeCommand:
         assert "usage" in err or "error" in err
 
 
+def whipple_lists(a, b, c) -> tuple[str, str]:
+    """The --upper and --lower values of the Whipple shape with parameters a, b, c."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return ",".join(str(x) for x in (a, 1 + a / 2, b, c)), ",".join(str(x) for x in (a / 2, a - b + 1, a - c + 1))
+
+
 class TestWhippleCommand:
     def test_match_with_closed_forms(self):
         code, out, _ = invoke(
@@ -180,6 +195,26 @@ class TestWhippleCommand:
         assert (result["a"], result["b"], result["c"]) == ("-6", "-8", "-9/2")
         assert result["exact"] is None
         assert result["exact_note"] == "the series is terminating(2), the closed form needs terminating(8)"
+
+    @pytest.mark.parametrize(
+        "upper, lower, note",
+        [
+            # a = 0 stops the series at once; its value is 1, not the Gamma ratio's 8/3
+            ("0,1,-2,1/2", "0,3,1/2", "the series is terminating(0), the closed form needs terminating(2)"),
+            ("10,6,4,4", "5,7,7", "the series is nonterminating_divergent, the closed form needs nonterminating_convergent"),
+            # log_gamma(1e307) is inf, and inf - inf a NaN
+            (*whipple_lists(10**307, Fraction(1, 3), Fraction(1, 2)), "the Gamma ratio is past the float range"),
+            # a finite log ratio past what exp can return
+            (*whipple_lists(10**300, -(10**299), Fraction(1, 2)), "the Gamma ratio is past the float range"),
+        ],
+        ids=["stops-sooner", "divergent", "NaN", "overflow"],
+    )
+    def test_numeric_value_only_inside_its_domain(self, upper, lower, note):
+        code, out, _ = invoke(["whipple", "--upper", upper, "--lower", lower, "--z", "-1", "--format", "json"])
+        assert code == 0
+        assert "NaN" not in out and "Infinity" not in out
+        result = json.loads(out)["results"][0]
+        assert (result["numeric"], result["numeric_note"]) == (None, note)
 
     def test_shorter_of_b_and_c_sets_the_length(self):
         # b = -10^9 is over the term budget, but c = -1 stops the series at 1

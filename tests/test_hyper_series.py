@@ -256,6 +256,18 @@ class TestEvalNumeric:
         with pytest.raises(ValueError, match="^tolerance must be positive and finite"):
             eval_numeric(series([-2], [], 1), tol)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            series([-3, 10**200], [1], 10**200),  # t_1 = -3e400 is -inf, and -inf + inf a NaN
+            series([], [], 712),  # e^712: every term fits a float, their sum does not
+        ],
+        ids=["terminating", "nonterminating"],
+    )
+    def test_sum_past_the_float_range_refused(self, s):
+        with pytest.raises(HypergeometricError, match=r"^the sum of .* is past the float range$"):
+            eval_numeric(s, 1e-12)
+
     def test_parameter_past_the_float_range_refused(self):
         for s in (series([10**400], [1], Fraction(1, 2)), series([], [1], 10**400)):
             with pytest.raises(HypergeometricError, match="^a parameter or z is past the float range"):

@@ -29,6 +29,13 @@ def quadratic(c: int) -> TermRatio:
     return TermRatio(IntPolynomial([c, c + 1, 1]), IntPolynomial([1, 2, 1]), 1)
 
 
+def wide_lead_quadratic(c: int) -> TermRatio:
+    """t(n+1)/t(n) = 3(n + 1)(2n + c)/(n + 1)^2 for an odd c: one upper
+    parameter c/2, from a numerator of content 3 and primitive leading
+    coefficient 2."""
+    return TermRatio(IntPolynomial([3 * c, 3 * (c + 2), 6]), IntPolynomial([1, 2, 1]), 1)
+
+
 RECIPROCAL = TermRatio(IntPolynomial([1, 1]), IntPolynomial([2, 1]), 1)  # t_n = 1/(n+1)
 
 LONG = 10**5000  # 16,610 bits; its 5,001 digits are past the default int-to-str limit of 4,300
@@ -63,6 +70,10 @@ BOUNDARY = [
     # degree**2 times the bit length of the root bound 2**bits(c + 1): 4 * 7 = 28, then 4 * 8 = 32
     pytest.param(28, lambda: recognize(quadratic(62)).series.upper, (62,), id="root isolation admits"),
     pytest.param(28, lambda: recognize(quadratic(63)), "root isolation steps = 32", id="root isolation refuses"),
+    # with the content 3 divided out, lead 2 adds one bit to c's coefficient:
+    # 4 * bits(2**max(bits(c) + 1, bits(c + 2))) is 4 * 8 = 32, then 4 * 9 = 36
+    pytest.param(32, lambda: recognize(wide_lead_quadratic(63)).series.upper, (Fraction(63, 2),), id="root isolation admits, |lead| > 1"),
+    pytest.param(32, lambda: recognize(wide_lead_quadratic(65)), "root isolation steps = 36", id="root isolation refuses, |lead| > 1"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 1), Fraction(1, 2), id="term_at admits"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 2), "term index = 2", id="term_at refuses"),
     too_long_to_print(lambda: eval_exact(HypSeries([-LONG], [], 1)), "termination index of 16610 bits", "eval_exact, long"),

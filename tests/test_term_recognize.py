@@ -403,6 +403,66 @@ class TestSplitProperties:
         assert cofactor == [cofactor[-1] * x for x in rest]  # rest up to a constant
 
 
+# The most evaluations _split makes over the root-isolation steps it
+# charges, D**2 * (b + 1) for a bound 2**b, by the degree D left once the
+# roots at 0 are divided out; none from D = 4 on.  At D = 1 the one piece
+# costs its two ends, b + 1 bisection steps and the root check: b + 4
+# against b + 1 charged.  At D = 2 and 3 the fixed evaluations (two ends
+# per piece, one root check per floor) pass the charge only while b is
+# small.  Measured on every polynomial of degree 1 to 6 with coefficients
+# of size up to 40, 12, 6, 4, 3 and 2.  The charge is kept, so no budget
+# boundary moves.
+OVER_CHARGE = {1: 3, 2: 4, 3: 2}
+
+
+def evaluations_and_charge(p: IntPolynomial) -> tuple[int, int]:
+    """The evaluations of a polynomial that _split makes on p, root checks
+    included, and the root-isolation steps it charges to the term budget."""
+    calls, charged = [0], [0]
+    call, check = IntPolynomial.__call__, term_recognize.check_budget
+
+    def counting_call(self, x):
+        calls[0] += 1
+        return call(self, x)
+
+    def recording_check(steps, what):
+        charged[0] += steps
+        check(steps, what)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IntPolynomial, "__call__", counting_call)
+        patch.setattr(term_recognize, "check_budget", recording_check)
+        term_recognize._split(p)
+    return calls[0], charged[0]
+
+
+class TestRootIsolationWork:
+    @given(split_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_within_the_charge(self, case):
+        factors, scale, c = case
+        p = IntPolynomial.from_linear_factors(factors, scale=scale) * IntPolynomial([1] if c is None else [c, 0, 1])
+        degree = p.degree - next(i for i, x in enumerate(p.coefficients) if x)
+        evaluations, charge = evaluations_and_charge(p)
+        assert evaluations <= charge + OVER_CHARGE.get(degree, 0)
+
+    def test_degree_one_is_charged_three_evaluations_short(self):
+        # 5n + 2**40: the bound is 2**41, so b + 1 = 42 steps are charged
+        assert evaluations_and_charge(IntPolynomial([2**40, 5])) == (45, 42)
+
+    def test_boundary_row_with_a_wide_leading_coefficient(self):
+        # the numerator of test_term_budget.py's row "root isolation admits,
+        # |lead| > 1": y**2 + 65y + 126 after the content 3 is divided out
+        assert evaluations_and_charge(IntPolynomial([3 * 63, 3 * 65, 6])) == (32, 32)
+
+    @pytest.mark.parametrize("c, b", [(1, 1), (2**40, 41)])
+    def test_no_bisection_without_a_sign_change(self, c, b):
+        # n**2 + c has no real root; with the bound 2**b the derivative 2n
+        # costs b + 3, its floor 0 splits the rest into two pieces of two
+        # ends each (one end is f(0) = c), and 0 gets one root check
+        assert evaluations_and_charge(IntPolynomial([c, 0, 1])) == (b + 8, 4 * (b + 1))
+
+
 def random_integer_polynomial(rng: random.Random) -> IntPolynomial:
     if rng.random() < 0.3:  # dense, mostly without rational roots
         coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]

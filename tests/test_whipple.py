@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypcert.errors import HypergeometricError, TermBudgetExceeded
-from hypcert.hyper_series import HypSeries, eval_exact
+from hypcert.hyper_series import Classification, HypSeries, SeriesKind, classify, eval_exact, min_termination_index
 from hypcert.whipple import (
     WhippleMatch,
     log_gamma,
@@ -307,6 +307,36 @@ class TestRhsNumeric:
         with pytest.raises(HypergeometricError, match="^a Gamma argument is past the float range$"):
             rhs_numeric(WhippleMatch(Fraction(10**400), Fraction(-2), Fraction(1, 2)))
 
+    def test_nonterminating_convergent(self):
+        assert rhs_numeric(WhippleMatch(Fraction(3), Fraction(1, 3), Fraction(1, 2))) == 0.9476591792050498
+
+    def test_series_that_stops_sooner_is_refused(self):
+        # every Gamma argument is positive, but a = 0 stops the series at once,
+        # where its value is 1, not the ratio's limit 8/3 as a -> 0
+        m = WhippleMatch(Fraction(0), Fraction(-2), Fraction(1, 2))
+        assert eval_exact(whipple_series(m.a, m.b, m.c)) == 1
+        needs = r"^the series is terminating\(0\), the closed form needs terminating\(2\)$"
+        with pytest.raises(HypergeometricError, match=needs):
+            rhs_numeric(m)
+
+    def test_divergent_series_is_refused(self):
+        # every Gamma argument is positive, but the excess 11 - 2b - 2c is -5
+        needs = r"^the series is nonterminating_divergent, the closed form needs nonterminating_convergent$"
+        with pytest.raises(HypergeometricError, match=needs):
+            rhs_numeric(WhippleMatch(Fraction(10), Fraction(4), Fraction(4)))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (10**307, Fraction(1, 3)),  # log_gamma(1e307) is inf, and inf - inf a NaN
+            (10**300, -(10**299)),  # a finite log ratio past what exp can return
+        ],
+        ids=["NaN", "overflow"],
+    )
+    def test_ratio_past_the_float_range_is_refused(self, a, b):
+        with pytest.raises(HypergeometricError, match="^the Gamma ratio is past the float range$"):
+            rhs_numeric(WhippleMatch(Fraction(a), Fraction(b), Fraction(1, 2)))
+
     def test_close_to_exact(self):
         rng = random.Random(5)
         for _ in range(80):
@@ -314,6 +344,31 @@ class TestRhsNumeric:
             exact = float(rhs_exact_terminating(m))
             got = rhs_numeric(m)
             assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+def test_numeric_value_only_where_the_series_stops_or_converges():
+    """A numeric closed form is given only for a series that stops at the
+    shorter of -b and -c or converges, and a terminating one is its sum."""
+    rng = random.Random(2026)
+    matches = 0
+    while matches < 20_000:
+        q = rng.randint(1, 3)
+        a = Fraction(rng.randint(-30 * q, 30 * q), q)
+        series = whipple_series(a, Fraction(rng.randint(-20, 20), 2), Fraction(rng.randint(-20, 20), 2))
+        m = match_whipple(series)
+        if m is None:
+            continue
+        matches += 1
+        try:
+            value = rhs_numeric(m)
+        except HypergeometricError:
+            continue
+        shift = min_termination_index((m.b, m.c))
+        if shift is None:
+            assert classify(series) == Classification(SeriesKind.CONVERGENT), m
+        else:
+            assert classify(series) == Classification(SeriesKind.TERMINATING, shift), m
+            assert value == pytest.approx(float(eval_exact(series)), rel=1e-9), m
 
 
 @given(
