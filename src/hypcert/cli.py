@@ -14,6 +14,7 @@ included); the README's "Errors" section gives the policy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import re
@@ -103,42 +104,26 @@ def _parse_series(args) -> HypSeries:
     )
 
 
-def _exact_text(value: Fraction) -> str:
-    """str(value); past the int-to-str digit limit, a HypergeometricError."""
+def _value_or_note(step, *args):
+    """(step(*args), None), an exact value as "p/q" text; or (None, message)
+    if the step raised a HypergeometricError or its value is too long to print."""
     try:
-        return str(value)
+        value = step(*args)
+    except HypergeometricError as exc:
+        return None, str(exc)
+    try:
+        return (str(value) if isinstance(value, Fraction) else value), None
     except ValueError:
-        raise HypergeometricError(f"exact value too long to print (over {sys.get_int_max_str_digits()} digits)") from None
+        return None, f"exact value too long to print (over {sys.get_int_max_str_digits()} digits)"
 
 
 def _report_fields(report: IdentityReport) -> dict:
     fields: dict = {"k": report.k, "m": report.m}
     for slot in ("direct", "via_series", "via_whipple"):
-        text, note = _value_or_note(lambda: _exact_text(getattr(report, slot)))
+        text, note = _value_or_note(getattr, report, slot)
         fields[slot] = text if note is None else f"error: {note}"
     fields["all_equal_one"] = report.all_equal_one
     return fields
-
-
-def _emit(doc: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
-    elif fmt == "csv":
-        _emit_csv(doc, out)
-    else:
-        _emit_table(doc, out)
-
-
-def _rows(results: list[dict]) -> list[list[str]]:
-    """The header row of the results' keys, then one row of cells per result."""
-    if not results:
-        return []
-    header = list(results[0].keys())
-    return [header] + [[_csv_cell(row[key]) for key in header] for row in results]
-
-
-def _emit_csv(doc: dict, out) -> None:
-    csv.writer(out, lineterminator="\n").writerows(_rows(doc["results"]))
 
 
 def _csv_cell(value) -> str:
@@ -153,23 +138,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit_table(doc: dict, out) -> None:
-    rows = _rows(doc["results"])
-    if rows:
-        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-        for row in rows:
-            out.write("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() + "\n")
-    summary = doc.get("summary") or {}
-    for key, value in summary.items():
+def _emit(doc: dict, fmt: str, out) -> None:
+    """Write doc as JSON; or its results as CSV, or as a table and the summary."""
+    if fmt == "json":
+        out.write(json.dumps(doc, indent=2) + "\n")
+        return
+    results = doc["results"]
+    header = list(results[0]) if results else []
+    rows = ([header] if header else []) + [[_csv_cell(row[key]) for key in header] for row in results]
+    if fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        out.write("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n")
+    for key, value in doc["summary"].items():
         out.write(f"{key}: {_csv_cell(value)}\n")
-
-
-def _value_or_note(step):
-    """(step(), None), or (None, message) if the step raised a HypergeometricError."""
-    try:
-        return step(), None
-    except HypergeometricError as exc:
-        return None, str(exc)
 
 
 # Each _cmd_* fills the inputs dict it is given before any work that can
@@ -183,9 +167,9 @@ def _cmd_eval(args, inputs):
     inputs.update(_params(series), numeric=bool(args.numeric), tol=args.tol if args.numeric else None)
     result = {**_params(series.canonical()), "classification": str(cls)}
     if args.numeric:
-        result["value"], note = _value_or_note(lambda: eval_numeric(series, args.tol))
+        result["value"], note = _value_or_note(eval_numeric, series, args.tol)
     else:
-        result["value"], note = _value_or_note(lambda: _exact_text(eval_exact(series)))
+        result["value"], note = _value_or_note(eval_exact, series)
     status = "ok" if note is None else f"error: {note}"
     summary = {"classification": {"kind": cls.kind.value, "index": cls.index}, "status": status}
     return (0 if note is None else 1), [result], summary
@@ -208,8 +192,8 @@ def _cmd_whipple(args, inputs):
     if match is None:
         return 1, [], {"status": "no-match"}
     result: dict = {"a": str(match.a), "b": str(match.b), "c": str(match.c)}
-    result["exact"], result["exact_note"] = _value_or_note(lambda: _exact_text(rhs_exact_terminating(match)))
-    result["numeric"], result["numeric_note"] = _value_or_note(lambda: rhs_numeric(match))
+    result["exact"], result["exact_note"] = _value_or_note(rhs_exact_terminating, match)
+    result["numeric"], result["numeric_note"] = _value_or_note(rhs_numeric, match)
     return 0, [result], {"status": "matched"}
 
 
@@ -222,17 +206,17 @@ def _cmd_verify(args, inputs):
 
 def _cmd_sweep(args, inputs):
     inputs["max_k"] = args.max_k
-    reports = run_sweep(args.max_k, jobs=args.jobs)
-    passed = sum(1 for r in reports if r.all_equal_one)
-    all_pass = passed == len(reports)
+    results = [_report_fields(r) for r in run_sweep(args.max_k, jobs=args.jobs)]
+    passed = sum(row["all_equal_one"] for row in results)
+    all_pass = passed == len(results)
     summary = {
-        "count": len(reports),
+        "count": len(results),
         "passed": passed,
         "all_pass": all_pass,
-        "line": f"{passed}/{len(reports)} pass",
+        "line": f"{passed}/{len(results)} pass",
     }
     # jobs is deliberately not echoed: output bytes must not depend on it
-    return (0 if all_pass else 1), [_report_fields(r) for r in reports], summary
+    return (0 if all_pass else 1), results, summary
 
 
 _SIGNED_VALUE = re.compile(r"^-\d")
@@ -304,9 +288,9 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse already printed usage/version to the right stream
         return int(exc.code or 0)
     inputs: dict = {}
     try:

@@ -269,6 +269,8 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
+        if not math.isfinite(total):
+            raise HypergeometricError(f"the sum of {s} is past the float range")
         if n == cls.index:
             break  # a lower pole AT the index would make t_{N+1} a 0/0
         num = math.prod(a + n for a in upper)
@@ -283,7 +285,5 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
                 small_streak = 0
     else:
         raise HypergeometricError(f"no convergence after {DEFAULT_MAX_TERMS} terms of {s} at tolerance {tol}")
-    if not math.isfinite(total):
-        raise HypergeometricError(f"the sum of {s} is past the float range")
     return total
 

@@ -198,9 +198,10 @@ def sweep(k_max: int, jobs: int = 1) -> list[IdentityReport]:
     """verify(k, m) for every 0 <= m <= k <= k_max, in lexicographic order.
 
     With jobs > 1 the reports are computed in worker processes, at most one
-    per CPU and per pair; the output order (and hence any serialized form)
-    is identical for every job count.  More pairs than the term budget are
-    refused with :class:`TermBudgetExceeded` before any is built.
+    per pair and per CPU the process may run on; the output order (and
+    hence any serialized form) is identical for every job count.  More
+    pairs than the term budget are refused with :class:`TermBudgetExceeded`
+    before any is built.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
@@ -209,8 +210,9 @@ def sweep(k_max: int, jobs: int = 1) -> list[IdentityReport]:
     check_budget((k_max + 1) * (k_max + 2) // 2, "pair count")
     pairs = [(k, m) for k in range(k_max + 1) for m in range(k + 1)]
     # a fork pool starts all max_workers at once, so never ask for more
-    # workers than there are CPUs or pairs
-    jobs = min(jobs, os.cpu_count() or 1, len(pairs))
+    # workers than there are pairs or CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, cpus, len(pairs))
     if jobs <= 1:
         return [verify(k, m) for k, m in pairs]
     # imported here: the pool machinery is a third of the CLI's start-up time

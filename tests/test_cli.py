@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypcert import hyper_series, sesma_identity
+from hypcert import __version__, hyper_series, sesma_identity
 from hypcert.cli import ParseError, ZeroDenominator, parse_rational, run
 
 needs_str_digit_limit = pytest.mark.skipif(
@@ -264,7 +264,7 @@ def sweep_with_fault_at_3_1(monkeypatch, jobs, fault):
         return fault() if (k, m) == (3, 1) else real_lhs_sum(k, m)
 
     monkeypatch.setattr(sesma_identity, "lhs_sum", faulty_lhs_sum)
-    monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sesma_identity.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, out, _ = invoke(["sweep", "--max-k", "5", "--jobs", jobs, "--format", "json"])
     assert code == 1
     doc = json.loads(out)
@@ -449,6 +449,20 @@ class TestUsageErrors:
         code, out, err = invoke(argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}\n")
+
+    def test_argparse_usage_error_goes_to_the_given_stderr(self):
+        code, out, err = invoke(["verify", "x", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: hypcert verify")
+        assert "invalid int value: 'x'" in err
+
+    def test_version_goes_to_the_given_stdout(self):
+        assert invoke(["--version"]) == (0, f"hypcert {__version__}\n", "")
+
+    def test_help_goes_to_the_given_stdout(self):
+        code, out, err = invoke(["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: hypcert")
 
     def test_global_format_position(self):
         code_before, out_before, _ = invoke(["--format", "json", "verify", "2", "1"])

@@ -11,6 +11,7 @@ import io
 
 import pytest
 
+from hypcert import sesma_identity
 from hypcert.cli import run
 
 FORMATS = ("table", "json", "csv")
@@ -47,3 +48,25 @@ def test_stdout_bytes_and_exit_code(argv, code, digests, fmt):
     assert got == code
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
     assert digest == digests[FORMATS.index(fmt)]
+
+
+# sweep --max-k 5 with sesma_identity.lhs_sum made to raise at (3, 1), with
+# a message that JSON and CSV must escape: one failing row in each format
+FAULT_MESSAGE = 'injected "quote" \\ é'
+FAULT_DIGESTS = ("c40fb332656c1127", "9243a4e57d362ce2", "a6cc42ca2a6ef867")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_failing_row_bytes(monkeypatch, fmt):
+    real_lhs_sum = sesma_identity.lhs_sum
+
+    def faulty_lhs_sum(k, m):
+        if (k, m) == (3, 1):
+            raise ArithmeticError(FAULT_MESSAGE)
+        return real_lhs_sum(k, m)
+
+    monkeypatch.setattr(sesma_identity, "lhs_sum", faulty_lhs_sum)
+    out = io.StringIO()
+    assert run(["sweep", "--max-k", "5", "--format", fmt], stdout=out, stderr=io.StringIO()) == 1
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
+    assert digest == FAULT_DIGESTS[FORMATS.index(fmt)]

@@ -261,8 +261,12 @@ class TestEvalNumeric:
         [
             series([-3, 10**200], [1], 10**200),  # t_1 = -3e400 is -inf, and -inf + inf a NaN
             series([], [], 712),  # e^712: every term fits a float, their sum does not
+            # terms past the float range: refused at the first such partial
+            # sum, not as "no convergence" once the term budget runs out
+            series([], [], 720),
+            series([], [], -720),
         ],
-        ids=["terminating", "nonterminating"],
+        ids=["terminating", "nonterminating", "terms-overflow", "alternating-terms-overflow"],
     )
     def test_sum_past_the_float_range_refused(self, s):
         with pytest.raises(HypergeometricError, match=r"^the sum of .* is past the float range$"):

@@ -289,14 +289,26 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 4)
+        # raising=False: where the OS has no affinity call, the patch adds one
+        monkeypatch.setattr(sesma_identity.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         serial = sweep(3)
         assert sweep(3, jobs=10**6) == serial
         assert sweep(1, jobs=10**6) == sweep(1)
         assert requested == [4, 3]
+        # without an affinity call, the machine's CPU count, or 1 if unknown
+        monkeypatch.delattr(sesma_identity.os, "sched_getaffinity")
         monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: None)
         assert sweep(3, jobs=8) == serial
         assert requested == [4, 3]
+
+    def test_jobs_clamped_to_the_cpus_the_process_may_run_on(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built for one usable CPU")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sesma_identity.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: 8)
+        assert len(sweep(5, jobs=4)) == 21
 
 
 class TestContainedFailure:
