@@ -70,3 +70,32 @@ def test_failing_row_bytes(monkeypatch, fmt):
     assert run(["sweep", "--max-k", "5", "--format", fmt], stdout=out, stderr=io.StringIO()) == 1
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
     assert digest == FAULT_DIGESTS[FORMATS.index(fmt)]
+
+
+# every --help screen, and one usage error on stderr; argparse wraps its
+# text to $COLUMNS, so the width is fixed
+HELP_DIGESTS = [
+    ("", "f6e8e206c57d8e83"),
+    ("eval", "1538d8f810b92594"),
+    ("recognize", "a433b08e90d6e564"),
+    ("whipple", "446c3997489bf7c3"),
+    ("verify", "1c5e220da5cd772b"),
+    ("sweep", "85bec601ed22a576"),
+]
+MISSING_Z_DIGEST = "7664d439cce42505"
+
+
+@pytest.mark.parametrize("command, digest", HELP_DIGESTS, ids=[row[0] or "main" for row in HELP_DIGESTS])
+def test_help_bytes(monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    assert run(command.split() + ["--help"], stdout=out, stderr=io.StringIO()) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16] == digest
+
+
+def test_usage_error_bytes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["eval", "--upper", "1"], stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    assert hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest()[:16] == MISSING_Z_DIGEST
