@@ -235,50 +235,42 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format (default: table)",
     )
-    # the same flag is accepted after the subcommand; SUPPRESS keeps an
-    # unset subcommand-level flag from clobbering the global value
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("table", "json", "csv"),
-        default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-    series = argparse.ArgumentParser(add_help=False)
-    series.add_argument("--upper", default="", help="comma-separated upper parameters")
-    series.add_argument("--lower", default="", help="comma-separated lower parameters")
-    series.add_argument("--z", required=True, help="series argument as p/q")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate a pFq series", parents=[common, series])
+    def command(name, help, func, series=False):
+        p = sub.add_parser(name, help=help)
+        # the same flag is accepted after the subcommand; SUPPRESS keeps an
+        # unset subcommand-level flag from clobbering the global value
+        p.add_argument("--format", choices=("table", "json", "csv"), default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        if series:
+            p.add_argument("--upper", default="", help="comma-separated upper parameters")
+            p.add_argument("--lower", default="", help="comma-separated lower parameters")
+            p.add_argument("--z", required=True, help="series argument as p/q")
+        p.set_defaults(func=func)
+        # argparse's private matcher of negative numbers knows only integers and
+        # decimals, so it takes "-2,1" or "-7/2" for an unknown flag; no option
+        # here starts with a digit, so any "-digit..." token is a value
+        p._negative_number_matcher = _SIGNED_VALUE
+        return p
+
+    p = command("eval", "evaluate a pFq series", _cmd_eval, series=True)
     p.add_argument("--numeric", action="store_true", help="use the floating-point path")
     p.add_argument("--tol", type=float, default=1e-12, help="numeric tolerance (default 1e-12)")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("recognize", help="turn a term ratio P(n)/Q(n) into prefactor * pFq", parents=[common])
+    p = command("recognize", "turn a term ratio P(n)/Q(n) into prefactor * pFq", _cmd_recognize)
     p.add_argument("--num", required=True, help="P coefficients c0,c1,... (ascending)")
     p.add_argument("--den", required=True, help="Q coefficients d0,d1,... (ascending)")
     p.add_argument("--t0", default="1", help="initial term (default 1)")
-    p.set_defaults(func=_cmd_recognize)
 
-    p = sub.add_parser("whipple", help="match the Whipple 4F3 shape and evaluate closed forms", parents=[common, series])
-    p.set_defaults(func=_cmd_whipple)
+    command("whipple", "match the Whipple 4F3 shape and evaluate closed forms", _cmd_whipple, series=True)
 
-    p = sub.add_parser("verify", help="certify the binomial identity at one (k, m)", parents=[common])
+    p = command("verify", "certify the binomial identity at one (k, m)", _cmd_verify)
     p.add_argument("k", type=int)
     p.add_argument("m", type=int)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sweep", help="certify the identity for all 0 <= m <= k <= K", parents=[common])
+    p = command("sweep", "certify the identity for all 0 <= m <= k <= K", _cmd_sweep)
     p.add_argument("--max-k", type=int, required=True, help="largest k to verify")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    p.set_defaults(func=_cmd_sweep)
-
-    # argparse's private matcher of negative numbers knows only integers and
-    # decimals, so it takes "-2,1" or "-7/2" for an unknown flag; no option
-    # here starts with a digit, so any "-digit..." token is a value
-    for command in sub.choices.values():
-        command._negative_number_matcher = _SIGNED_VALUE
     return parser
 
 
