@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -299,7 +300,15 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as "| head" may); point fd 1 at devnull
+        # so that the interpreter's own flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -45,6 +45,20 @@ def test_python_dash_m_matches_run(module, argv):
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
 
 
+@pytest.mark.parametrize("argv", [["verify", "2", "1"], ["sweep", "--max-k", "60", "--format", "json"]])
+def test_closed_stdout_exits_one_without_a_traceback(argv):
+    # the read end is closed before the child has started, so its first
+    # write to stdout meets a broken pipe
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypcert", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    assert (proc.wait(timeout=TIMEOUT_S), stderr) == (1, b"")
+
+
 def test_oversized_exact_sum_exits_one_without_hanging():
     argv = ["eval", "--upper", "-1000000000", "--z", "1"]
     proc = run_module("hypcert", argv)

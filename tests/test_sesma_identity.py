@@ -74,6 +74,21 @@ class TestLhsSum:
         with pytest.raises(ValueError):
             lhs_sum(1, 2)
 
+    @pytest.mark.parametrize("k,m", [(0, 0), (5, 0), (7, 3), (40, 17), (150, 150)])
+    def test_nested_loop_takes_m_steps(self, monkeypatch, k, m):
+        # a loop started past n = m - 1 gives the same value, because its
+        # factor m - n is zero at n = m; only the number of steps shows it
+        lengths = []
+
+        def counted_range(*args):
+            steps = range(*args)
+            lengths.append(len(steps))
+            return steps
+
+        monkeypatch.setattr(sesma_identity, "range", counted_range, raising=False)
+        assert lhs_sum(k, m) == 1
+        assert lengths == [m]
+
 
 class TestSesmaRatio:
     def test_ratio_values(self):
