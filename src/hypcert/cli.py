@@ -308,6 +308,9 @@ def main() -> None:
         # so that the interpreter's own flush at exit is quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except KeyboardInterrupt:
+        # Ctrl-C: the shell's code for SIGINT (128 + 2), with no traceback
+        sys.exit(130)
     sys.exit(code)
 
 

@@ -190,34 +190,36 @@ def verify(k: int, m: int) -> IdentityReport:
     return IdentityReport(k, m, direct, *via)
 
 
-def _verify_pair(pair: tuple[int, int]) -> IdentityReport:
-    return verify(*pair)
+def _verify_row(k: int) -> list[IdentityReport]:
+    return [verify(k, m) for m in range(k + 1)]
 
 
 def sweep(k_max: int, jobs: int = 1) -> list[IdentityReport]:
     """verify(k, m) for every 0 <= m <= k <= k_max, in lexicographic order.
 
-    With jobs > 1 the reports are computed in worker processes, at most one
-    per pair and per CPU the process may run on; the output order (and
-    hence any serialized form) is identical for every job count.  More
-    pairs than the term budget are refused with :class:`TermBudgetExceeded`
-    before any is built.
+    With jobs > 1 each k-row is computed in a worker process, at most one
+    worker per k-row and per CPU the process may run on; the output order
+    (and hence any serialized form) is identical for every job count.
+    More pairs than the term budget are refused with
+    :class:`TermBudgetExceeded` before any is built.  A worker process that
+    ends before the sweep finishes raises :class:`HypergeometricError`.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     check_budget((k_max + 1) * (k_max + 2) // 2, "pair count")
-    pairs = [(k, m) for k in range(k_max + 1) for m in range(k + 1)]
     # a fork pool starts all max_workers at once, so never ask for more
-    # workers than there are pairs or CPUs this process may run on
+    # workers than there are k-rows or CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    jobs = min(jobs, cpus, len(pairs))
+    jobs = min(jobs, cpus, k_max + 1)
     if jobs <= 1:
-        return [verify(k, m) for k, m in pairs]
+        return [report for k in range(k_max + 1) for report in _verify_row(k)]
     # imported here: the pool machinery is a third of the CLI's start-up time
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    chunk = max(1, len(pairs) // (jobs * 16))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_verify_pair, pairs, chunksize=chunk))
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return [report for row in pool.map(_verify_row, range(k_max + 1)) for report in row]
+    except BrokenExecutor as exc:
+        raise HypergeometricError("a worker process ended before the sweep finished") from exc

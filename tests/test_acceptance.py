@@ -14,22 +14,16 @@ from collections import Counter
 from fractions import Fraction
 
 from hypcert.cli import run
-from hypcert.hyper_series import HypSeries, classify, eval_exact, eval_numeric, pochhammer
+from hypcert.hyper_series import HypSeries, classify, eval_exact, eval_numeric
 from hypcert.sesma_identity import rewrite, sesma_ratio, sweep
 from hypcert.term_recognize import recognize
 from hypcert.whipple import WhippleMatch, log_gamma, rhs_exact_terminating, rhs_numeric
 
+from oracles import series_term, whipple_series
+
 
 def _line(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-
-
-def whipple_series(m: WhippleMatch) -> HypSeries:
-    return HypSeries(
-        upper=(m.a, 1 + m.a / 2, m.b, m.c),
-        lower=(m.a / 2, m.a - m.b + 1, m.a - m.c + 1),
-        z=Fraction(-1),
-    )
 
 
 def random_whipple_matches(count: int, seed: int) -> list[WhippleMatch]:
@@ -128,7 +122,7 @@ def test_criterion_3_whipple_exact_regime():
     matches = random_whipple_matches(500, seed=60317)
     failures = 0
     for m in matches:
-        if eval_exact(whipple_series(m)) != rhs_exact_terminating(m):
+        if eval_exact(whipple_series(m.a, m.b, m.c)) != rhs_exact_terminating(m):
             failures += 1
     _line(
         "criterion 3 (Whipple exact regime)",
@@ -183,14 +177,7 @@ def test_criterion_5_series_engine_oracle():
     numeric_checked = 0
     for s in cases:
         n_terms = classify(s).index
-        oracle = Fraction(0)
-        for n in range(n_terms + 1):
-            term = Fraction(s.z) ** n / math.factorial(n)
-            for a in s.upper:
-                term *= pochhammer(a, n)
-            for b in s.lower:
-                term /= pochhammer(b, n)
-            oracle += term
+        oracle = sum(series_term(1, s, n) for n in range(n_terms + 1))
         exact = eval_exact(s)
         if exact != oracle:
             exact_failures += 1

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import sys
 from fractions import Fraction
 
@@ -253,9 +254,9 @@ class TestVerifyCommand:
         assert code == 2
 
 
-def sweep_with_fault_at_3_1(monkeypatch, jobs, fault):
-    """Run sweep --max-k 5 with lhs_sum replaced by fault() at (3, 1); check
-    that only that row fails, and return its direct cell."""
+def inject_fault_at_3_1(monkeypatch, jobs, fault):
+    """Replace lhs_sum by fault() at (3, 1), and let the process run on two
+    CPUs."""
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the injected fault only when they are forked")
     real_lhs_sum = sesma_identity.lhs_sum
@@ -265,6 +266,12 @@ def sweep_with_fault_at_3_1(monkeypatch, jobs, fault):
 
     monkeypatch.setattr(sesma_identity, "lhs_sum", faulty_lhs_sum)
     monkeypatch.setattr(sesma_identity.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def sweep_with_fault_at_3_1(monkeypatch, jobs, fault):
+    """Run sweep --max-k 5 with lhs_sum replaced by fault() at (3, 1); check
+    that only that row fails, and return its direct cell."""
+    inject_fault_at_3_1(monkeypatch, jobs, fault)
     code, out, _ = invoke(["sweep", "--max-k", "5", "--jobs", jobs, "--format", "json"])
     assert code == 1
     doc = json.loads(out)
@@ -323,6 +330,20 @@ class TestSweepCommand:
     def test_value_too_long_to_print_is_a_failing_row(self, monkeypatch, jobs):
         cell = sweep_with_fault_at_3_1(monkeypatch, jobs, lambda: Fraction(10**5000))
         assert cell == f"error: exact value too long to print (over {sys.get_int_max_str_digits()} digits)"
+
+    def test_lost_worker_is_an_error_document(self, monkeypatch, capfd):
+        def end_the_worker():
+            # only in a worker: the test process itself must survive
+            if multiprocessing.parent_process() is None:
+                raise AssertionError("the fault ran in the test process")
+            os._exit(3)
+
+        inject_fault_at_3_1(monkeypatch, "2", end_the_worker)
+        code, out, err = invoke(["sweep", "--max-k", "5", "--jobs", "2"])
+        assert (code, err) == (1, "")
+        assert out == "status: error: a worker process ended before the sweep finished\n"
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr() == ("", "")
 
     def test_over_the_term_budget_exits_one(self, monkeypatch):
         monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 9)

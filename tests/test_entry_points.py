@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import hypcert
+from hypcert import cli
 from hypcert.cli import run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hypcert.__file__)))
@@ -57,6 +58,17 @@ def test_closed_stdout_exits_one_without_a_traceback(argv):
     with proc.stderr:
         stderr = proc.stderr.read()
     assert (proc.wait(timeout=TIMEOUT_S), stderr) == (1, b"")
+
+
+def test_keyboard_interrupt_exits_130_without_a_traceback(monkeypatch, capsys):
+    def interrupted(argv):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == 130
+    assert capsys.readouterr().err == ""
 
 
 def test_oversized_exact_sum_exits_one_without_hanging():

@@ -19,23 +19,11 @@ from hypcert.hyper_series import (
     pochhammer,
 )
 
+from oracles import series_term
+
 
 def series(upper, lower, z) -> HypSeries:
     return HypSeries(upper, lower, z)
-
-
-def termwise_oracle(s: HypSeries, n_terms: int) -> Fraction:
-    """Independent closed-form sum: each term from Pochhammer products."""
-    total = Fraction(0)
-    for n in range(n_terms + 1):
-        term = Fraction(s.z) ** n / math.factorial(n)
-        for a in s.upper:
-            term *= pochhammer(a, n)
-        denominator = Fraction(1)
-        for b in s.lower:
-            denominator *= pochhammer(b, n)
-        total += term / denominator
-    return total
 
 
 def random_terminating(rng: random.Random) -> HypSeries:
@@ -141,7 +129,7 @@ class TestEvalExact:
         for _ in range(150):
             s = random_terminating(rng)
             n_terms = classify(s).index
-            assert eval_exact(s) == termwise_oracle(s, n_terms)
+            assert eval_exact(s) == sum(series_term(1, s, n) for n in range(n_terms + 1))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -175,7 +163,7 @@ class TestEvalExactAgainstTermwiseSum:
     )
     def test_harmless_poles(self, upper, lower):
         s = series(upper, lower, Fraction(-2, 3))
-        assert eval_exact(s) == termwise_oracle(s, classify(s).index)
+        assert eval_exact(s) == sum(series_term(1, s, n) for n in range(classify(s).index + 1))
 
     @given(series_with_poles())
     @settings(max_examples=300, deadline=None)
@@ -185,7 +173,7 @@ class TestEvalExactAgainstTermwiseSum:
             with pytest.raises(HypergeometricError, match="lower-parameter pole at index"):
                 eval_exact(s)
         else:
-            assert eval_exact(s) == termwise_oracle(s, cls.index)
+            assert eval_exact(s) == sum(series_term(1, s, n) for n in range(cls.index + 1))
 
 
 class TestTermBudget:

@@ -22,6 +22,8 @@ from hypcert.sesma_identity import (
 from hypcert.term_recognize import recognize, term_at
 from hypcert.whipple import WhippleMatch, match_whipple
 
+from oracles import series_term
+
 # pairs across the triangle up to (300, 300): both edges, the middle, the top row
 SPOT_PAIRS = [
     (0, 0), (1, 1), (80, 37), (120, 120), (151, 150), (200, 3),
@@ -175,12 +177,7 @@ class TestDerivationChain:
         for k, m in [(2, 1), (5, 1), (6, 3), (8, 4), (7, 0)]:
             for prefactored in (rewrite(k, m), recognize(sesma_ratio(k, m))):
                 for n in range(m + 1):
-                    term = prefactored.prefactor * Fraction(-1) ** n / math.factorial(n)
-                    for a in prefactored.series.upper:
-                        term *= pochhammer(a, n)
-                    for b in prefactored.series.lower:
-                        term /= pochhammer(b, n)
-                    assert term == lhs_term(k, m, n)
+                    assert series_term(prefactored.prefactor, prefactored.series, n) == lhs_term(k, m, n)
 
 
 class TestWhipplePathway:
@@ -285,10 +282,11 @@ class TestSweep:
         with pytest.raises(TermBudgetExceeded, match="^pair count = 100128 is over the budget of 100000 steps$"):
             sweep(446)
 
-    def test_jobs_clamped_to_cpus_and_pairs(self, monkeypatch):
+    def test_jobs_clamped_to_cpus_and_rows(self, monkeypatch):
         # the pool is replaced before any large job count is requested,
         # so this test starts no process
         requested = []
+        mapped = []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -300,7 +298,8 @@ class TestSweep:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items, chunksize=1):
+            def map(self, fn, items, **kwargs):
+                mapped.append((items, kwargs))
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -309,12 +308,14 @@ class TestSweep:
         serial = sweep(3)
         assert sweep(3, jobs=10**6) == serial
         assert sweep(1, jobs=10**6) == sweep(1)
-        assert requested == [4, 3]
+        assert requested == [4, 2]
+        # one task per k-row, with no chunk size
+        assert mapped == [(range(4), {}), (range(2), {})]
         # without an affinity call, the machine's CPU count, or 1 if unknown
         monkeypatch.delattr(sesma_identity.os, "sched_getaffinity")
         monkeypatch.setattr(sesma_identity.os, "cpu_count", lambda: None)
         assert sweep(3, jobs=8) == serial
-        assert requested == [4, 3]
+        assert requested == [4, 2]
 
     def test_jobs_clamped_to_the_cpus_the_process_may_run_on(self, monkeypatch):
         def no_pool(*args, **kwargs):

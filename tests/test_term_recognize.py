@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from hypcert import term_recognize
 from hypcert.errors import HypergeometricError, TermBudgetExceeded
-from hypcert.hyper_series import pochhammer
 from hypcert.sesma_identity import rewrite, sesma_ratio
 from hypcert.term_recognize import (
     IntPolynomial,
@@ -16,6 +15,8 @@ from hypcert.term_recognize import (
     recognize,
     term_at,
 )
+
+from oracles import series_term
 
 # P, Q for the identity family at k=5, m=1:
 # P = 2(1-n)(n+6)(n+2)(n+4), Q = 2(n+1)(n+5)(n+3)(n+8)
@@ -122,15 +123,6 @@ class TestTermAt:
     def test_huge_index_refused_at_once(self):
         with pytest.raises(TermBudgetExceeded):
             term_at(RATIO_K5, 10**12)
-
-
-def series_term(prefactor: Fraction, s, n: int) -> Fraction:
-    value = prefactor * Fraction(s.z) ** n / math.factorial(n)
-    for a in s.upper:
-        value *= pochhammer(a, n)
-    for b in s.lower:
-        value /= pochhammer(b, n)
-    return value
 
 
 class TestRecognize:

@@ -16,14 +16,7 @@ from hypcert.whipple import (
     rhs_numeric,
 )
 
-
-def whipple_series(a, b, c) -> HypSeries:
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    return HypSeries(
-        upper=(a, 1 + a / 2, b, c),
-        lower=(a / 2, a - b + 1, a - c + 1),
-        z=Fraction(-1),
-    )
+from oracles import whipple_series
 
 
 def random_terminating_match(rng: random.Random) -> WhippleMatch:
