@@ -16,6 +16,7 @@ the upper parameter 1.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -36,14 +37,20 @@ class IntPolynomial(Record):
     """Dense integer polynomial; coefficients[i] is the coefficient of n**i.
 
     The zero polynomial is the empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.
+    leading coefficient is nonzero.  A coefficient that is not an integer
+    (``operator.index`` refuses it) is a ``ValueError``, never truncated.
     """
 
     __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients: Iterable[int]) -> None:
-        coeffs = [int(c) for c in coefficients]
+        coeffs = []
+        for i, c in enumerate(coefficients):
+            try:
+                coeffs.append(operator.index(c))
+            except TypeError:
+                raise ValueError(f"polynomial coefficient {i} is not an integer: {c!r}") from None
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -86,22 +93,6 @@ class IntPolynomial(Record):
             for j, b in enumerate(other.coefficients):
                 out[i + j] += a * b
         return IntPolynomial(out)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            term = "1" if (abs(c) == 1 and i > 0) else str(abs(c))
-            if i == 1:
-                term = f"{term}*n" if term != "1" else "n"
-            elif i > 1:
-                term = f"{term}*n^{i}" if term != "1" else f"n^{i}"
-            parts.append(("-" if c < 0 else "+") + term)
-        joined = " ".join(parts)
-        return joined.lstrip("+").strip()
 
 
 def _deflate(coeffs: list[int], root: Fraction) -> list[int] | None:
@@ -251,7 +242,7 @@ def recognize(r: TermRatio) -> PrefactoredSeries:
     q_roots, q_rest = _split(r.den)
     if not _proportional(p_rest, q_rest):
         side, rest = ("numerator", p_rest) if len(p_rest) > 1 else ("denominator", q_rest)
-        raise HypergeometricError(f"{side} {IntPolynomial(rest)} has an irreducible nonlinear cofactor")
+        raise HypergeometricError(f"{side} factor {','.join(map(str, rest))} has no rational root and does not cancel")
     upper = [-root for root in (p_roots - q_roots).elements()]
     lower = [-root for root in (q_roots - p_roots).elements()]
 

@@ -354,6 +354,25 @@ class TestSweepCommand:
         assert code == 1
         assert out == "status: error: pair count = 10 is over the budget of 9 steps\n"
 
+    def test_over_the_term_budget_writes_no_row_in_json_or_csv(self, monkeypatch):
+        # a refusal comes before any output: the JSON document has no
+        # result, and CSV, which has no status line, is empty
+        monkeypatch.setattr(hyper_series, "DEFAULT_MAX_TERMS", 9)
+        code, out, err = invoke(["sweep", "--max-k", "3", "--format", "json"])
+        assert (code, err) == (1, "")
+        assert out == json.dumps({
+            "command": "sweep",
+            "inputs": {"max_k": 3},
+            "results": [],
+            "summary": {"status": "error: pair count = 10 is over the budget of 9 steps"},
+        }, indent=2) + "\n"
+        assert invoke(["sweep", "--max-k", "3", "--format", "csv"]) == (1, "", "")
+
+    def test_bad_job_count_writes_nothing_to_stdout(self):
+        code, out, err = invoke(["sweep", "--max-k", "3", "--jobs", "0", "--format", "json"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: jobs must be at least 1, got 0\nusage: hypcert")
+
 
 class TestSignedListValues:
     """A list value that starts with "-" is accepted after a space, the same

@@ -11,8 +11,9 @@ import io
 
 import pytest
 
-from hypcert import sesma_identity
 from hypcert.cli import run
+
+from test_cli import inject_fault_at_3_1
 
 FORMATS = ("table", "json", "csv")
 
@@ -24,8 +25,8 @@ GOLDEN = [
     ("eval --upper -1000000000 --z 1", 1, ("da37904e7b0a0a79", "6aae81cd9d591add", "cac465f010cdbbfe")),
     ("recognize --num 96,-8,-64,-22,-2 --den 240,398,190,34,2 --t0 5/7", 0, ("48349355ffd3073a", "a4e6671ab06f7830", "779387c6c9fdb3cc")),
     ("recognize --num 2,3,1 --den 12,16,4", 0, ("343b14ae1affd8ff", "1fa559b46cf9ac71", "a54c706c7ad0bb73")),
-    ("recognize --num 1,0,1 --den 1,1", 1, ("fc45089717bb164d", "98e077b3925afd35", "e3b0c44298fc1c14")),
-    ("recognize --num 1,1 --den 1,0,1", 1, ("032b9082982aebab", "bc06b29516859faa", "e3b0c44298fc1c14")),
+    ("recognize --num 1,0,1 --den 1,1", 1, ("74bc371d7c39a1cb", "f9c2a0a84405637c", "e3b0c44298fc1c14")),
+    ("recognize --num 1,1 --den 1,0,1", 1, ("d018311b5842bd36", "44300980b2ba5d9a", "e3b0c44298fc1c14")),
     ("recognize --num 3,-1 --den -1,1", 1, ("1ee6697d805eae24", "5320dd0147e3f197", "e3b0c44298fc1c14")),
     ("recognize --num 1,1 --den 0", 1, ("8e5967655f019879", "28e79aceaa18104f", "e3b0c44298fc1c14")),
     ("recognize --num 0 --den 1,1", 1, ("453272e299c6b617", "1f76f30309793b24", "e3b0c44298fc1c14")),
@@ -51,23 +52,22 @@ def test_stdout_bytes_and_exit_code(argv, code, digests, fmt):
 
 
 # sweep --max-k 5 with sesma_identity.lhs_sum made to raise at (3, 1), with
-# a message that JSON and CSV must escape: one failing row in each format
+# a message that JSON and CSV must escape: one failing row in each format,
+# the same bytes at jobs 2, where the workers pickle each report back to the
+# parent that renders it
 FAULT_MESSAGE = 'injected "quote" \\ é'
 FAULT_DIGESTS = ("c40fb332656c1127", "9243a4e57d362ce2", "a6cc42ca2a6ef867")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_failing_row_bytes(monkeypatch, fmt):
-    real_lhs_sum = sesma_identity.lhs_sum
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_row_bytes(monkeypatch, fmt, jobs):
+    def fault():
+        raise ArithmeticError(FAULT_MESSAGE)
 
-    def faulty_lhs_sum(k, m):
-        if (k, m) == (3, 1):
-            raise ArithmeticError(FAULT_MESSAGE)
-        return real_lhs_sum(k, m)
-
-    monkeypatch.setattr(sesma_identity, "lhs_sum", faulty_lhs_sum)
+    inject_fault_at_3_1(monkeypatch, jobs, fault)
     out = io.StringIO()
-    assert run(["sweep", "--max-k", "5", "--format", fmt], stdout=out, stderr=io.StringIO()) == 1
+    assert run(["sweep", "--max-k", "5", "--jobs", jobs, "--format", fmt], stdout=out, stderr=io.StringIO()) == 1
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:16]
     assert digest == FAULT_DIGESTS[FORMATS.index(fmt)]
 

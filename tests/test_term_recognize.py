@@ -46,9 +46,24 @@ class TestIntPolynomial:
         p = IntPolynomial.from_linear_factors([(2, 1), (-1, 1)])  # (n+2)(n-1)
         assert p.coefficients == (-2, 1, 1)
 
+    def test_integers_are_kept_exactly(self):
+        wide = 2**5000 + 1
+        assert IntPolynomial([True, 2]).coefficients == (1, 2)
+        assert IntPolynomial([wide, -wide]).coefficients == (wide, -wide)
+
+    @pytest.mark.parametrize("coefficients, message", [
+        ([1.5, Fraction(7, 2), True], "coefficient 0 is not an integer: 1.5$"),
+        ([0.5, 1], "coefficient 0 is not an integer: 0.5$"),
+        ([3, Fraction(7, 2)], r"coefficient 1 is not an integer: Fraction\(7, 2\)$"),
+    ])
+    def test_a_coefficient_that_is_not_an_integer_is_refused(self, coefficients, message):
+        # truncating 0.5 to 0 would answer for n/(n+1), upper parameter 0
+        with pytest.raises(ValueError, match=f"^polynomial {message}"):
+            recognize(TermRatio(IntPolynomial(coefficients), IntPolynomial([1, 1]), 1))
+
     def test_zero_polynomial(self):
         zero, p = IntPolynomial([]), IntPolynomial([-2, 1, 1])
-        assert (zero.leading, zero.degree, str(zero)) == (0, -1, "0")
+        assert (zero.leading, zero.degree) == (0, -1)
         assert (zero * p).is_zero
         assert (p * zero).is_zero
 
@@ -179,28 +194,29 @@ class TestRecognize:
     def test_cofactors_that_do_not_cancel_are_rejected(self):
         # (n^2+1)/(n^2+2): no rational roots on either side, not proportional
         ratio = TermRatio(num=IntPolynomial([1, 0, 1]), den=IntPolynomial([2, 0, 1]), t0=Fraction(1))
-        with pytest.raises(HypergeometricError, match="^numerator .* has an irreducible nonlinear cofactor"):
+        with pytest.raises(HypergeometricError, match="^numerator factor 1,0,1 has no rational root and does not cancel$"):
             recognize(ratio)
-        # (n^2+1) / (n^2+1)(n^2+2): n^2+1 cancels, n^2+2 does not
+        # (n^2+1) / (n^2+1)(n^2+2): the rootless factors n^2+1 and n^4+3n^2+2
+        # are not proportional, and the numerator's is named
         ratio = TermRatio(
             num=IntPolynomial([1, 0, 1]), den=IntPolynomial([1, 0, 1]) * IntPolynomial([2, 0, 1]), t0=Fraction(1)
         )
-        with pytest.raises(HypergeometricError, match="has an irreducible nonlinear cofactor"):
+        with pytest.raises(HypergeometricError, match="^numerator factor 1,0,1 has no rational root and does not cancel$"):
             recognize(ratio)
-        # only the side that keeps a cofactor is named, by that cofactor alone
+        # only the side that keeps a rootless factor is named, by that factor alone
         ratio = TermRatio(
             num=IntPolynomial([1, 1]) * IntPolynomial([3, 1]),  # (n+1)(n+3)
             den=IntPolynomial([1, 1]) * IntPolynomial([1, 0, 1]),  # (n+1)(n^2+1)
             t0=Fraction(1),
         )
-        with pytest.raises(HypergeometricError, match=r"^denominator 1 \+n\^2 has an irreducible nonlinear cofactor"):
+        with pytest.raises(HypergeometricError, match="^denominator factor 1,0,1 has no rational root and does not cancel$"):
             recognize(ratio)
         ratio = TermRatio(
             num=IntPolynomial([1, 1]),  # n+1
             den=IntPolynomial([2, 1]) * IntPolynomial([1, 0, 1]),  # (n+2)(n^2+1)
             t0=Fraction(1),
         )
-        with pytest.raises(HypergeometricError, match=r"^denominator 1 \+n\^2 has an irreducible nonlinear cofactor"):
+        with pytest.raises(HypergeometricError, match="^denominator factor 1,0,1 has no rational root and does not cancel$"):
             recognize(ratio)
 
     def test_shared_nonnegative_integer_root_is_a_pole(self):
@@ -234,7 +250,7 @@ class TestRecognize:
         ratio = TermRatio(
             num=IntPolynomial([1, 0, 1]), den=IntPolynomial([1, 1]), t0=Fraction(1)
         )
-        with pytest.raises(HypergeometricError, match="has an irreducible nonlinear cofactor"):
+        with pytest.raises(HypergeometricError, match="^numerator factor 1,0,1 has no rational root and does not cancel$"):
             recognize(ratio)
 
     def test_pole_on_path_rejected(self):
@@ -334,7 +350,14 @@ def expected_recognition(up, low, scale_p, scale_q, rest_p, rest_q):
     """The start of the HypergeometricError message, or (upper, lower, z),
     read off the construction."""
     if (rest_p and Fraction(rest_p[1], rest_p[0])) != (rest_q and Fraction(rest_q[1], rest_q[0])):
-        return "(numerator|denominator) .* has an irreducible nonlinear cofactor"  # the rootless factors do not cancel
+        # the rootless factors do not cancel, and the numerator's is named if
+        # it has one: a*n^2 + c times the scale and the content of each
+        # linear factor, which deflation by its primitive part leaves behind
+        side, factors, scale, (a, c) = (
+            ("numerator", up, scale_p, rest_p) if rest_p else ("denominator", low, scale_q, rest_q)
+        )
+        content = scale * math.prod(math.gcd(c0, c1) for c0, c1 in factors)
+        return f"{side} factor {c * content},0,{a * content} has no rational root and does not cancel$"
     upper = Counter(Fraction(c0, c1) for c0, c1 in up)
     lower = Counter(Fraction(c0, c1) for c0, c1 in low)
     upper, reduced_lower = upper - lower, lower - upper
@@ -497,7 +520,9 @@ class TestAgainstSympy:
             reduced_num, reduced_den = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
             (upper, upper_rest), (lower, lower_rest) = linear_parameters(reduced_num), linear_parameters(reduced_den)
             if upper_rest or lower_rest:
-                with pytest.raises(HypergeometricError, match="has an irreducible nonlinear cofactor"):
+                # the side named is the numerator if its own rootless factor is nonlinear
+                side = "numerator" if linear_parameters(to_sympy(num))[1] else "denominator"
+                with pytest.raises(HypergeometricError, match=rf"^{side} factor -?\d+(,-?\d+)+ has no rational root and does not cancel$"):
                     recognize(ratio)
                 continue
             original_lower, _ = linear_parameters(to_sympy(den))
