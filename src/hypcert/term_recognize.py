@@ -156,10 +156,10 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
     monic q(y) = L**(D-1) * p(y/L).  Each coefficient c_i * L**(D-1-i) of q
     below its leading 1 is under 2**bits, with bits read off the bit lengths
     of c_i and L alone, so |y| < 1 + max |q_i| <= B = 2**bits (Cauchy's
-    bound).  The integer roots of q are found by :func:`_root_floors`, in
-    about D**2 * log2(B) evaluations; that count is refused with
-    :class:`TermBudgetExceeded` when over the term budget, before q is
-    built.  Each root is divided out of p until it no longer divides.
+    bound).  :func:`_root_floors` finds a superset of these y in about
+    D**2 * log2(B) evaluations, refused with :class:`TermBudgetExceeded`
+    when over the term budget before q is built.  Exact division alone
+    decides each y: y/L is divided out of p until it no longer divides.
     """
     if p.is_zero:
         raise ValueError("rational roots of the zero polynomial")
@@ -180,11 +180,10 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
     check_budget(degree**2 * bound.bit_length(), "root isolation steps")
     q = IntPolynomial([c * lead ** (degree - 1 - i) for i, c in enumerate(primitive[:-1])] + [1])
     for y in _root_floors(q, bound):
-        if q(y) == 0:
-            root = Fraction(y, lead)
-            while len(coeffs) > 1 and (quotient := _deflate(coeffs, root)) is not None:
-                coeffs = quotient
-                roots[root] += 1
+        root = Fraction(y, lead)
+        while len(coeffs) > 1 and (quotient := _deflate(coeffs, root)) is not None:
+            coeffs = quotient
+            roots[root] += 1
     return roots, coeffs
 
 
@@ -230,18 +229,18 @@ def recognize(r: TermRatio) -> PrefactoredSeries:
     """Factor the ratio into canonical prefactor * pFq form.
 
     P and Q are split once each into rational roots and a cofactor without
-    rational roots.  Shared roots cancel as a multiset difference, so
-    coincidental parameter collisions never survive into the output: it is
-    the ratio, not any particular parameter list, that defines the term.
-    The ratio is accepted only when the two cofactors are proportional, so
-    that they cancel too.  Parameters are reported sorted ascending.
+    rational roots.  Shared roots cancel as a multiset difference: it is the
+    ratio, not any parameter list, that defines the term.  The cofactors
+    must be proportional; else the refusal names the longer one (the
+    numerator's on a tie), which cannot divide the other side.  Parameters
+    are reported sorted ascending.
     """
     if r.num.is_zero:
         raise HypergeometricError("zero ratio numerator: the term dies at n = 0 and has no pFq shape")
     p_roots, p_rest = _split(r.num)
     q_roots, q_rest = _split(r.den)
     if not _proportional(p_rest, q_rest):
-        side, rest = ("numerator", p_rest) if len(p_rest) > 1 else ("denominator", q_rest)
+        side, rest = ("denominator", q_rest) if len(q_rest) > len(p_rest) else ("numerator", p_rest)
         raise HypergeometricError(f"{side} factor {','.join(map(str, rest))} has no rational root and does not cancel")
     upper = [-root for root in (p_roots - q_roots).elements()]
     lower = [-root for root in (q_roots - p_roots).elements()]
