@@ -12,6 +12,7 @@ Values are ``Fraction``; floats appear only on the numeric paths.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
@@ -64,12 +65,14 @@ def is_nonpositive_integer(x: Fraction | int) -> bool:
     return x.denominator == 1 and x.numerator <= 0
 
 
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _as_param_tuple(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(_as_fraction(v) for v in values)
+def as_fraction(value) -> Fraction:
+    """An exact record field's value: a Fraction as is, an int as a Fraction, else a ValueError."""
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(operator.index(value))
+    except TypeError:
+        raise ValueError(f"an exact value must be an int or a Fraction, got {value!r}") from None
 
 
 class HypSeries(Record):
@@ -85,9 +88,9 @@ class HypSeries(Record):
     z: Fraction
 
     def __init__(self, upper: Iterable, lower: Iterable, z) -> None:
-        object.__setattr__(self, "upper", _as_param_tuple(upper))
-        object.__setattr__(self, "lower", _as_param_tuple(lower))
-        object.__setattr__(self, "z", _as_fraction(z))
+        object.__setattr__(self, "upper", tuple(map(as_fraction, upper)))
+        object.__setattr__(self, "lower", tuple(map(as_fraction, lower)))
+        object.__setattr__(self, "z", as_fraction(z))
 
     def canonical(self) -> "HypSeries":
         return HypSeries(sorted(self.upper), sorted(self.lower), self.z)
@@ -107,7 +110,7 @@ class PrefactoredSeries(Record):
     series: HypSeries
 
     def __init__(self, prefactor: Fraction, series: HypSeries) -> None:
-        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "prefactor", as_fraction(prefactor))
         object.__setattr__(self, "series", series)
 
 
@@ -275,6 +278,8 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
             break  # a lower pole AT the index would make t_{N+1} a 0/0
         num = math.prod(a + n for a in upper)
         den = math.prod(b + n for b in lower) * (n + 1)
+        if den == 0:  # a lower parameter whose float rounds onto a pole
+            raise HypergeometricError("a parameter or z is past the float range of the numeric path")
         term *= num / den * z
         if cls.index is None:
             if abs(term) < tol * max(1.0, abs(total)):

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import HypergeometricError
-from .hyper_series import HypSeries, PrefactoredSeries, check_budget, min_termination_index
+from .hyper_series import HypSeries, PrefactoredSeries, as_fraction, check_budget, min_termination_index
 from .record import Record
 
 __all__ = [
@@ -86,8 +86,6 @@ class IntPolynomial(Record):
         return acc
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
             for j, b in enumerate(other.coefficients):
@@ -181,7 +179,7 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
     q = IntPolynomial([c * lead ** (degree - 1 - i) for i, c in enumerate(primitive[:-1])] + [1])
     for y in _root_floors(q, bound):
         root = Fraction(y, lead)
-        while len(coeffs) > 1 and (quotient := _deflate(coeffs, root)) is not None:
+        while (quotient := _deflate(coeffs, root)) is not None:
             coeffs = quotient
             roots[root] += 1
     return roots, coeffs
@@ -200,7 +198,7 @@ class TermRatio(Record):
             raise HypergeometricError("term-ratio denominator must not be the zero polynomial")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "t0", Fraction(t0))
+        object.__setattr__(self, "t0", as_fraction(t0))
 
 
 def term_at(r: TermRatio, n: int) -> Fraction:

@@ -20,7 +20,9 @@ import sys
 from fractions import Fraction
 
 from .errors import HypergeometricError
-from .hyper_series import Classification, HypSeries, SeriesKind, check_budget, classify, min_termination_index
+from .hyper_series import (
+    Classification, HypSeries, SeriesKind, as_fraction, check_budget, classify, min_termination_index
+)
 from .record import Record
 
 __all__ = ["WhippleMatch", "match_whipple", "rhs_exact_terminating", "log_gamma", "rhs_numeric"]
@@ -35,9 +37,9 @@ class WhippleMatch(Record):
     c: Fraction
 
     def __init__(self, a: Fraction, b: Fraction, c: Fraction) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "a", as_fraction(a))
+        object.__setattr__(self, "b", as_fraction(b))
+        object.__setattr__(self, "c", as_fraction(c))
 
 
 def _plus_one_minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -173,6 +175,8 @@ def rhs_numeric(m: WhippleMatch) -> float:
         num1, num2, den1, den2 = (float(arg) for arg in args)
     except OverflowError:
         raise HypergeometricError("a Gamma argument is past the float range") from None
+    if not min(num1, num2, den1, den2) > 0:  # a positive argument whose float is 0.0
+        raise HypergeometricError("a Gamma argument is past the float range")
     log_ratio = log_gamma(num1) + log_gamma(num2) - log_gamma(den1) - log_gamma(den2)
     if not log_ratio < _LOG_FLOAT_MAX:  # also a NaN from inf - inf
         raise HypergeometricError("the Gamma ratio is past the float range")

@@ -113,6 +113,14 @@ class TestEvalCommand:
         assert doc["results"][0]["value"] is None
         assert doc["summary"]["status"].endswith(" is past the float range")
 
+    def test_lower_parameter_whose_float_is_a_pole_is_an_error(self):
+        argv = ["eval", "--upper", "1", "--lower", f"1/{10**400}", "--z", "1/2", "--numeric", "--format", "json"]
+        code, out, err = invoke(argv)
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["results"][0]["value"] is None
+        assert doc["summary"]["status"] == "error: a parameter or z is past the float range of the numeric path"
+
     def test_empty_parameter_lists(self):
         # 0F0(;; z) = e^z: nonterminating, so the exact path refuses it
         code, out, _ = invoke(["eval", "--z", "1/3", "--format", "json"])
@@ -185,6 +193,15 @@ class TestWhippleCommand:
         assert code == 0
         result = json.loads(out)["results"][0]
         assert result["exact"] == str((a + 1) * (a + 2) / ((a - c + 1) * (a - c + 2)))
+        assert (result["numeric"], result["numeric_note"]) == (None, "a Gamma argument is past the float range")
+
+    def test_positive_gamma_argument_whose_float_is_zero_keeps_the_exact_value(self):
+        # a = 1, b = -1, c = 2 - 10^-400: a - c + 1 = 10^-400 rounds to the float 0.0
+        upper, lower = whipple_lists(1, -1, Fraction(2 * 10**400 - 1, 10**400))
+        code, out, err = invoke(["whipple", "--upper", upper, "--lower", lower, "--z", "-1", "--format", "json"])
+        assert (code, err) == (0, "")
+        result = json.loads(out)["results"][0]
+        assert result["exact"] == str(2 * 10**400)
         assert (result["numeric"], result["numeric_note"]) == (None, "a Gamma argument is past the float range")
 
     def test_series_that_stops_before_the_closed_form_has_no_exact_value(self):

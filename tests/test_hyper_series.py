@@ -265,6 +265,19 @@ class TestEvalNumeric:
             with pytest.raises(HypergeometricError, match="^a parameter or z is past the float range"):
                 eval_numeric(s, 1e-12)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            series([1], [Fraction(1, 10**400)], Fraction(1, 2)),  # float 0.0: a pole at n = 0
+            series([1], [Fraction(1 - 10**400, 10**400)], Fraction(1, 2)),  # float -1.0: a pole at n = 1
+            series([-3], [Fraction(1, 10**400)], Fraction(1, 2)),
+        ],
+        ids=["at-0", "at-1", "terminating"],
+    )
+    def test_lower_parameter_whose_float_is_a_pole_refused(self, s):
+        with pytest.raises(HypergeometricError, match="^a parameter or z is past the float range of the numeric path$"):
+            eval_numeric(s, 1e-12)
+
 
 class TestAgainstMpmath:
     def test_exact_values_match_external_library(self):
@@ -296,11 +309,6 @@ class TestHypSeries:
         assert c.upper == (-1, 2, 5)
         assert c.lower == (1, 3)
         assert c.z == s.z
-
-    def test_parameters_coerced_to_fractions(self):
-        s = series([1, "3/2"], [2], "1/2")
-        assert s.upper == (Fraction(1), Fraction(3, 2))
-        assert s.z == Fraction(1, 2)
 
 
 rationals = st.fractions(

@@ -2,6 +2,8 @@
 repr and pickling, as their frozen-dataclass forms behaved."""
 
 import pickle
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ ONE = Fraction(1)
 # (class, positional arguments, field values, repr); the keyword form of a
 # case passes the field values by name
 CASES = [
-    (HypSeries, ((-1, 2), (3,), "1/2"), ((Fraction(-1), Fraction(2)), (Fraction(3),), Fraction(1, 2)), SERIES_REPR),
+    (HypSeries, ((-1, 2), (3,), Fraction(1, 2)), ((Fraction(-1), Fraction(2)), (Fraction(3),), Fraction(1, 2)), SERIES_REPR),
     (
         PrefactoredSeries,
         (Fraction(1, 3), SERIES),
@@ -120,3 +122,40 @@ def test_identity_report_all_equal_one_is_computed():
     assert IdentityReport(2, 1, ONE, ONE, "error: boom").all_equal_one is False
     with pytest.raises(AttributeError):
         IdentityReport(2, 1, ONE, Fraction(2), ONE).all_equal_one = True
+
+
+# each exact field of the four records that carry exact values, as the
+# record built with one value in that field
+EXACT_FIELDS = {
+    "HypSeries.upper": lambda v: HypSeries((v, 2), (3,), Fraction(1, 2)),
+    "HypSeries.lower": lambda v: HypSeries((-1, 2), (v,), Fraction(1, 2)),
+    "HypSeries.z": lambda v: HypSeries((-1, 2), (3,), v),
+    "PrefactoredSeries.prefactor": lambda v: PrefactoredSeries(v, SERIES),
+    "TermRatio.t0": lambda v: TermRatio(IntPolynomial([-1, 1]), IntPolynomial([1, 1]), v),
+    "WhippleMatch.a": lambda v: WhippleMatch(v, Fraction(-1), Fraction(2)),
+    "WhippleMatch.b": lambda v: WhippleMatch(Fraction(3), v, Fraction(2)),
+    "WhippleMatch.c": lambda v: WhippleMatch(Fraction(3), Fraction(-1), v),
+}
+EXACT_VALUES = {
+    "float": (0.1, False),
+    "str": ("1/2", False),
+    "Decimal": (Decimal("0.5"), False),
+    "complex": (1j, False),
+    "bool": (True, True),
+    "int": (3, True),
+    "5000-bit-int": (2**5000, True),
+    "Fraction": (Fraction(1, 3), True),
+}
+
+
+@pytest.mark.parametrize("value, accepted", EXACT_VALUES.values(), ids=EXACT_VALUES)
+@pytest.mark.parametrize("build", EXACT_FIELDS.values(), ids=EXACT_FIELDS)
+def test_exact_field_takes_ints_and_fractions_only(build, value, accepted):
+    if not accepted:
+        with pytest.raises(ValueError, match=f"^an exact value must be an int or a Fraction, got {re.escape(repr(value))}$"):
+            build(value)
+        return
+    record, exact = build(value), build(Fraction(value))
+    assert fields(record) == fields(exact)
+    assert hash(record) == hash(exact)
+    assert repr(record) == repr(exact)  # each value is stored as a Fraction

@@ -300,6 +300,14 @@ class TestRhsNumeric:
         with pytest.raises(HypergeometricError, match="^a Gamma argument is past the float range$"):
             rhs_numeric(WhippleMatch(Fraction(10**400), Fraction(-2), Fraction(1, 2)))
 
+    def test_rejects_positive_gamma_argument_whose_float_is_zero(self):
+        # a - c + 1 = 10^-400 > 0 rounds to the float 0.0; the exact value
+        # (a+1)_1 / (a-c+1)_1 = 2 * 10^400 stands
+        m = WhippleMatch(Fraction(1), Fraction(-1), Fraction(2 * 10**400 - 1, 10**400))
+        assert rhs_exact_terminating(m) == 2 * 10**400
+        with pytest.raises(HypergeometricError, match="^a Gamma argument is past the float range$"):
+            rhs_numeric(m)
+
     def test_nonterminating_convergent(self):
         assert rhs_numeric(WhippleMatch(Fraction(3), Fraction(1, 3), Fraction(1, 2))) == 0.9476591792050498
 
