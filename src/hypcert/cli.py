@@ -182,7 +182,7 @@ def _cmd_recognize(args, inputs):
     t0 = parse_rational(args.t0)
     inputs.update(num=list(num.coefficients), den=list(den.coefficients), t0=str(t0))
     recognized = recognize(TermRatio(num=num, den=den, t0=t0))
-    result = {"prefactor": str(recognized.prefactor), **_params(recognized.series.canonical())}
+    result = {"prefactor": str(recognized.prefactor), **_params(recognized.series)}
     return 0, [result], {"status": "ok"}
 
 

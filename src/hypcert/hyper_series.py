@@ -256,6 +256,8 @@ def eval_numeric(s: HypSeries, tol: float) -> float:
         raise HypergeometricError(f"series {s} diverges at z = {s.z}")
     if cls.kind is SeriesKind.TERMINATING:
         check_budget(cls.index, "termination index")
+    if s.z == 0:  # every term after t_0 has a factor z: no float work
+        return 1.0
 
     try:
         upper = [float(a) for a in s.upper]

@@ -107,6 +107,7 @@ def lhs_sum(k: int, m: int) -> Fraction:
     so the sum is T_0 (w_0 + a_0/b_0 (w_1 + ... (w_m))) with w_n = 2n+k+1.
     It is taken in that nested form from the last term back, carrying the
     inner value as one integer fraction A/D: D <- b_n D, A <- w_n D + a_n A.
+    The sum is A/D times T_0 / ((k+2m+1)!/k!) = perm(k, m) / perm(k+m+1, m+1).
     No step divides; nothing here uses the term ratio of
     :func:`sesma_ratio`.  Equal to sum(lhs_term(k, m, n)) by construction.
     """
@@ -115,8 +116,7 @@ def lhs_sum(k: int, m: int) -> Fraction:
     for n in range(m - 1, -1, -1):
         acc_den *= (n + 1) * (k - m + n + 1) * (k + m + n + 2)
         acc_num = (2 * n + k + 1) * acc_den + (m - n) * (k + n + 1) * (m + n + 1) * acc_num
-    t0 = math.perm(k, m) * math.perm(k + 2 * m + 1, m)
-    return Fraction(t0 * acc_num, acc_den * math.perm(k + 2 * m + 1, 2 * m + 1))
+    return Fraction(math.perm(k, m) * acc_num, math.perm(k + m + 1, m + 1) * acc_den)
 
 
 def sesma_ratio(k: int, m: int) -> TermRatio:

@@ -113,6 +113,17 @@ class TestEvalCommand:
         assert doc["results"][0]["value"] is None
         assert doc["summary"]["status"].endswith(" is past the float range")
 
+    def test_numeric_value_at_z_zero_is_one(self):
+        big = str(10**200)
+        code, out, err = invoke(["eval", "--upper", f"{big},{big}", "--lower", "1", "--z", "0", "--numeric", "--format", "json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["results"][0]["value"] == 1.0
+        assert doc["summary"]["status"] == "ok"
+        # a pole before t_1 is still refused
+        code, _, _ = invoke(["eval", "--upper", "-2", "--lower", "0", "--z", "0", "--numeric"])
+        assert code == 1
+
     def test_lower_parameter_whose_float_is_a_pole_is_an_error(self):
         argv = ["eval", "--upper", "1", "--lower", f"1/{10**400}", "--z", "1/2", "--numeric", "--format", "json"]
         code, out, err = invoke(argv)

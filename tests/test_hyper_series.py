@@ -260,6 +260,17 @@ class TestEvalNumeric:
         with pytest.raises(HypergeometricError, match=r"^the sum of .* is past the float range$"):
             eval_numeric(s, 1e-12)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            series([10**200, 10**200], [1], 0),  # t_1's float factor overflows, and inf * 0.0 is a NaN
+            series([-3, 10**200], [1], 0),
+        ],
+        ids=["nonterminating", "terminating"],
+    )
+    def test_z_zero_is_exactly_one(self, s):
+        assert eval_numeric(s, 1e-12) == 1.0
+
     def test_parameter_past_the_float_range_refused(self):
         for s in (series([10**400], [1], Fraction(1, 2)), series([], [1], 10**400)):
             with pytest.raises(HypergeometricError, match="^a parameter or z is past the float range"):

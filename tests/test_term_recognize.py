@@ -300,6 +300,18 @@ class TestRecognize:
             for n in range(horizon + 1):
                 assert series_term(got.prefactor, got.series, n) == term_at(ratio, n)
 
+    def test_series_is_returned_in_canonical_order(self):
+        rng = random.Random(4242)
+        accepted = 0
+        for _ in range(100):
+            try:
+                got = recognize(self._random_factorable_ratio(rng))
+            except HypergeometricError:
+                continue
+            assert got.series == got.series.canonical()
+            accepted += 1
+        assert accepted > 50
+
     @staticmethod
     def _random_factorable_ratio(rng: random.Random) -> TermRatio:
         def factors(count):
