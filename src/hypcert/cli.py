@@ -30,7 +30,7 @@ from .sesma_identity import IdentityReport, sweep as run_sweep, verify as run_ve
 from .term_recognize import IntPolynomial, TermRatio, recognize
 from .whipple import match_whipple, rhs_exact_terminating, rhs_numeric
 
-__all__ = ["ParseError", "ZeroDenominator", "parse_rational", "run", "main"]
+__all__ = ["ParseError", "parse_rational", "run", "main"]
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "١", which int() reads
 _RATIONAL = re.compile(r"[+-]?([0-9]*)(?:/([0-9]*))?")
@@ -42,10 +42,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class ZeroDenominator(ParseError):
-    """A rational literal with denominator zero."""
 
 
 def parse_rational(text: str, base: int = 0) -> Fraction:
@@ -68,7 +64,7 @@ def parse_rational(text: str, base: int = 0) -> Fraction:
     elif long_runs := [i for i in (1, 2) if 0 < limit < len(match.group(i) or "")]:
         message, at = f"numeral longer than {limit} digits", match.start(long_runs[0])
     elif denominator and not int(denominator):
-        raise ZeroDenominator("denominator must be nonzero", base + match.start(2))
+        message, at = "denominator must be nonzero", match.start(2)
     else:
         return Fraction(int(text[: match.end(1)]), int(denominator or 1))
     raise ParseError(message, base + at)

@@ -12,9 +12,8 @@ or past the float range, a sweep worker process that ended before the
 sweep finished.  The CLI maps it to exit code 1.  Its subclass :class:`TermBudgetExceeded`
 comes only from ``hyper_series.check_budget``: ``<count> = <n> is over the
 budget of <DEFAULT_MAX_TERMS> steps`` (``<count> of <bits> bits ...`` for an
-n too long to print), before the first step, in eval_exact, eval_numeric,
-verify (m, then k), sweep, rhs_exact_terminating, recognize (root
-isolation steps) and term_at.
+n too long to print), before the first step; the README's term-budget list
+names each count and the functions that refuse it.
 """
 
 __all__ = ["HypergeometricError", "TermBudgetExceeded"]

@@ -59,12 +59,6 @@ def pochhammer(x: Fraction | int, n: int) -> Fraction:
     return Fraction(num, q**n)
 
 
-def is_nonpositive_integer(x: Fraction | int) -> bool:
-    """True when the int or Fraction x is an integer <= 0 (the series
-    termination/pole test)."""
-    return x.denominator == 1 and x.numerator <= 0
-
-
 def as_fraction(value) -> Fraction:
     """An exact record field's value: a Fraction as is, an int as a Fraction, else a ValueError."""
     if isinstance(value, Fraction):
@@ -146,7 +140,7 @@ class Classification(Record):
 
 def min_termination_index(params: Iterable[Fraction]) -> int | None:
     """Least N >= 0 with -N among params (where a series stops), or None."""
-    hits = [-p.numerator for p in params if is_nonpositive_integer(p)]
+    hits = [-p.numerator for p in params if p.denominator == 1 and p.numerator <= 0]
     return min(hits) if hits else None
 
 

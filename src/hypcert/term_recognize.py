@@ -56,9 +56,9 @@ class IntPolynomial(Record):
         object.__setattr__(self, "coefficients", tuple(coeffs))
 
     @classmethod
-    def from_linear_factors(cls, factors: Sequence[tuple[int, int]], scale: int = 1) -> "IntPolynomial":
-        """Product of factors (c0 + c1*n) times an integer scale."""
-        poly = cls([scale])
+    def from_linear_factors(cls, factors: Sequence[tuple[int, int]]) -> "IntPolynomial":
+        """Product of factors (c0 + c1*n); a constant c is the factor (c, 0)."""
+        poly = cls([1])
         for c0, c1 in factors:
             poly = poly * cls([c0, c1])
         return poly

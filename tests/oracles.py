@@ -1,6 +1,7 @@
-"""Independent oracles for the tests: each value is built from Pochhammer
-products and factorials alone, never from the code under test
-(no ``eval_exact``, no ``recognize``)."""
+"""Oracles for the tests: each value is built from Pochhammer products and
+factorials alone, never from ``eval_exact`` or ``recognize``.  They use two
+names of the package: the ``HypSeries`` record, and ``pochhammer``, which no
+exact path of the package calls."""
 
 import math
 from fractions import Fraction

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hypcert import __version__, hyper_series, sesma_identity
-from hypcert.cli import ParseError, ZeroDenominator, parse_rational, run
+from hypcert.cli import ParseError, parse_rational, run
 
 needs_str_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit on this Python"
@@ -38,8 +38,9 @@ class TestParseRational:
         assert parse_rational("6/4") == Fraction(3, 2)
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(ParseError, match="denominator must be nonzero") as info:
             parse_rational("5/0")
+        assert info.value.offset == 2
 
     @pytest.mark.parametrize(
         "text,offset",

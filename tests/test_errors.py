@@ -15,7 +15,7 @@ from hypcert.whipple import WhippleMatch, rhs_numeric
 
 SRC = pathlib.Path(hypcert.__file__).parent
 ERROR_CLASSES = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, Exception)}
-RAISABLE = {"ValueError", "ParseError", "ZeroDenominator"} | ERROR_CLASSES
+RAISABLE = {"ValueError", "ParseError"} | ERROR_CLASSES
 
 
 def raised_names(tree) -> list[str]:

@@ -14,7 +14,7 @@ from hypcert.hyper_series import (
     classify,
     eval_exact,
     eval_numeric,
-    is_nonpositive_integer,
+    min_termination_index,
     parametric_excess,
     pochhammer,
 )
@@ -382,4 +382,4 @@ class TestNonpositiveIntegerPredicate:
         ],
     )
     def test_cases(self, value, expected):
-        assert is_nonpositive_integer(value) is expected
+        assert min_termination_index([value]) == (-value if expected else None)

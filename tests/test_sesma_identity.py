@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import multiprocessing
 import pickle
 import random
 from collections import Counter
@@ -266,6 +267,20 @@ class TestSweep:
         parallel = sweep(8, jobs=2)
         assert serial == parallel
 
+    def test_pool_returns_a_value_past_the_digit_limit(self, monkeypatch):
+        # a worker pickles its k-row, which holds a 5,000-digit value here
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the injected value only when they are forked")
+        real_lhs_sum = sesma_identity.lhs_sum
+        long_value = Fraction(10**5000)
+        monkeypatch.setattr(
+            sesma_identity, "lhs_sum", lambda k, m: long_value if (k, m) == (3, 1) else real_lhs_sum(k, m)
+        )
+        monkeypatch.setattr(sesma_identity.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parallel = sweep(5, jobs=2)
+        assert parallel == sweep(5, jobs=1)
+        assert [r.direct for r in parallel if (r.k, r.m) == (3, 1)] == [long_value]
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             sweep(-1)
@@ -358,6 +373,12 @@ class TestContainedFailure:
         monkeypatch.setattr(sesma_identity, "rewrite", recording)
         assert verify(5, 2).all_equal_one
         assert calls == [(5, 2)]
+
+    def test_value_past_the_digit_limit_survives_pickle(self):
+        # protocols 0 and 1 write an int as decimal text, so they start at 2
+        value = Fraction(10**5000)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol=protocol)) == value
 
     def test_report_with_an_error_survives_pickle(self):
         report = IdentityReport(3, 1, "error: injected", Fraction(1), Fraction(1))

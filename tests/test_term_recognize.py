@@ -21,8 +21,8 @@ from oracles import series_term
 
 # P, Q for the identity family at k=5, m=1:
 # P = 2(1-n)(n+6)(n+2)(n+4), Q = 2(n+1)(n+5)(n+3)(n+8)
-P_K5 = IntPolynomial.from_linear_factors([(1, -1), (6, 1), (2, 1), (4, 1)], scale=2)
-Q_K5 = IntPolynomial.from_linear_factors([(1, 1), (5, 1), (3, 1), (8, 1)], scale=2)
+P_K5 = IntPolynomial.from_linear_factors([(1, -1), (6, 1), (2, 1), (4, 1), (2, 0)])
+Q_K5 = IntPolynomial.from_linear_factors([(1, 1), (5, 1), (3, 1), (8, 1), (2, 0)])
 RATIO_K5 = TermRatio(num=P_K5, den=Q_K5, t0=Fraction(5, 7))
 
 
@@ -172,7 +172,7 @@ class TestRecognize:
     def test_shared_factor_cancels(self):
         ratio = TermRatio(
             num=IntPolynomial.from_linear_factors([(1, 1), (2, 1)]),  # (n+1)(n+2)
-            den=IntPolynomial.from_linear_factors([(1, 1), (3, 1)], scale=4),  # 4(n+1)(n+3)
+            den=IntPolynomial.from_linear_factors([(1, 1), (3, 1), (4, 0)]),  # 4(n+1)(n+3)
             t0=Fraction(1),
         )
         got = recognize(ratio)
@@ -317,11 +317,9 @@ class TestRecognize:
         def factors(count):
             return [(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 3])) for _ in range(count)]
 
-        num = IntPolynomial.from_linear_factors(
-            factors(rng.randint(1, 3)), scale=rng.choice([-2, -1, 1, 2, 3])
-        )
+        num = IntPolynomial.from_linear_factors(factors(rng.randint(1, 3)) + [(rng.choice([-2, -1, 1, 2, 3]), 0)])
         den_factors = factors(rng.randint(0, 2)) + [(1, 1)]  # keep an (n+1) around
-        den = IntPolynomial.from_linear_factors(den_factors, scale=rng.choice([1, 2]))
+        den = IntPolynomial.from_linear_factors(den_factors + [(rng.choice([1, 2]), 0)])
         t0 = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
         return TermRatio(num=num, den=den, t0=t0)
 
@@ -354,7 +352,7 @@ def constructed_ratios(draw):
 
 def build_ratio(up, low, scale_p, scale_q, rest_p, rest_q) -> TermRatio:
     def poly(factors, scale, rest):
-        p = IntPolynomial.from_linear_factors(factors, scale=scale)
+        p = IntPolynomial.from_linear_factors(factors + [(scale, 0)])
         return p if rest is None else p * IntPolynomial([rest[1], 0, rest[0]])
 
     return TermRatio(num=poly(up, scale_p, rest_p), den=poly(low, scale_q, rest_q), t0=Fraction(3, 5))
@@ -471,7 +469,7 @@ class TestSplitProperties:
     @settings(max_examples=300, deadline=None)
     def test_returns_the_built_roots_and_cofactor(self, case):
         factors, scale, c = case
-        p = IntPolynomial.from_linear_factors(factors, scale=scale)
+        p = IntPolynomial.from_linear_factors(factors + [(scale, 0)])
         rest = [1] if c is None else [c, 0, 1]
         roots, cofactor = term_recognize._split(p * IntPolynomial(rest))
         assert roots == Counter(Fraction(-c0, c1) for c0, c1 in factors)
@@ -516,7 +514,7 @@ class TestRootIsolationWork:
     @settings(max_examples=300, deadline=None)
     def test_within_the_charge(self, case):
         factors, scale, c = case
-        p = IntPolynomial.from_linear_factors(factors, scale=scale) * IntPolynomial([1] if c is None else [c, 0, 1])
+        p = IntPolynomial.from_linear_factors(factors + [(scale, 0)]) * IntPolynomial([1] if c is None else [c, 0, 1])
         degree = p.degree - next(i for i, x in enumerate(p.coefficients) if x)
         evaluations, charge = evaluations_and_charge(p)
         assert evaluations <= charge + OVER_CHARGE.get(degree, 0)
@@ -543,7 +541,7 @@ def random_integer_polynomial(rng: random.Random) -> IntPolynomial:
         coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
         return IntPolynomial(coeffs) if any(coeffs) else IntPolynomial([1])
     factors = [(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
-    p = IntPolynomial.from_linear_factors(factors, scale=rng.choice([-3, -1, 1, 2, 6]))
+    p = IntPolynomial.from_linear_factors(factors + [(rng.choice([-3, -1, 1, 2, 6]), 0)])
     if rng.random() < 0.3:
         p = p * IntPolynomial([rng.randint(1, 4), rng.randint(-2, 2), rng.randint(1, 3)])
     return p
