@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copyreg
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -76,6 +77,10 @@ class IdentityReport(Record):
 
 
 def _check_km(k: int, m: int) -> None:
+    try:
+        operator.index(k), operator.index(m)
+    except TypeError:
+        raise ValueError(f"k and m must be integers, got k = {k!r}, m = {m!r}") from None
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if k < m:

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import HypergeometricError
-from .hyper_series import HypSeries, PrefactoredSeries, as_fraction, check_budget, min_termination_index
+from .hyper_series import HypSeries, PrefactoredSeries, SeriesKind, as_fraction, check_budget, classify
 from .record import Record
 
 __all__ = [
@@ -230,8 +230,10 @@ def recognize(r: TermRatio) -> PrefactoredSeries:
     rational roots.  Shared roots cancel as a multiset difference: it is the
     ratio, not any parameter list, that defines the term.  The cofactors
     must be proportional; else the refusal names the longer one (the
-    numerator's on a tie), which cannot divide the other side.  Parameters
-    are reported sorted ascending.
+    numerator's on a tie), which cannot divide the other side.  A pole before
+    the term stops is refused as :func:`classify` finds it among the roots of
+    the given Q, so a root shared with P, a 0/0, is one too.  Parameters are
+    reported sorted ascending.
     """
     if r.num.is_zero:
         raise HypergeometricError("zero ratio numerator: the term dies at n = 0 and has no pFq shape")
@@ -243,19 +245,14 @@ def recognize(r: TermRatio) -> PrefactoredSeries:
     upper = [-root for root in (p_roots - q_roots).elements()]
     lower = [-root for root in (q_roots - p_roots).elements()]
 
-    # poles on the summation path: the ORIGINAL denominator must not vanish
-    # at any integer 0 <= n < termination index (anywhere, if the reduced
-    # term never terminates); this also rejects shared integer roots of
-    # P and Q, where the given ratio itself is a 0/0 and not a valid term
-    n_term = min_termination_index(upper)
-    for root in sorted(q_roots):
-        if root.denominator == 1 and root >= 0 and (n_term is None or root < n_term):
-            raise HypergeometricError(f"denominator vanishes at n = {root}")
+    z = Fraction(r.num.leading, r.den.leading)
+    cls = classify(HypSeries(upper, [-root for root in q_roots], z))
+    if cls.kind is SeriesKind.ILL_POSED:
+        raise HypergeometricError(f"denominator vanishes at n = {cls.index}")
 
     if Fraction(1) in lower:
         lower.remove(Fraction(1))  # the n! factor of the normal form
     else:
         upper.append(Fraction(1))  # install (n+1) on both sides
-    z = Fraction(r.num.leading, r.den.leading)
     series = HypSeries(sorted(upper), sorted(lower), z)
     return PrefactoredSeries(prefactor=r.t0, series=series)

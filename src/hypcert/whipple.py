@@ -95,24 +95,22 @@ def rhs_exact_terminating(m: WhippleMatch) -> Fraction:
     """Closed form for a terminating match, reduced to a Pochhammer ratio.
 
     The series must stop at M, the shorter of -b and -c; the Gamma ratio,
-    symmetric in b and c, is (a+1)_M / (a-c+1)_M at b = -M.  Only an a <= 0
-    can stop the series sooner or put a pole at a/2, so then it must
-    :func:`classify` as terminating at M; any other pole before M zeroes
-    (a-c+1)_M.  An M over the term budget raises :class:`TermBudgetExceeded` first.
+    symmetric in b and c, is (a+1)_M / (a-c+1)_M at b = -M.  The series must
+    :func:`classify` as terminating at M; it is asked only for an a <= 0, which
+    can stop the series sooner or put a pole at a/2, or for a zero (a-c+1)_M,
+    the one other pole before M (a-b+1 = a+M+1 > 0).  An M over the term budget raises :class:`TermBudgetExceeded` first.
     """
     shift = min_termination_index((m.b, m.c))
     if shift is None:
         raise HypergeometricError(f"neither b = {m.b} nor c = {m.c} is a nonpositive integer")
     check_budget(shift, "Pochhammer length")
-    if m.a <= 0:
-        _check_regime(m, shift)
     c = m.c if m.b == -shift else m.b
     # (a+1)_M and (a-c+1)_M from reduced int pairs, as one integer ratio reduced once
     a = m.a.as_integer_ratio()
     (p, q), (r, t) = _plus_one_minus(a, (0, 1)), _plus_one_minus(a, c.as_integer_ratio())
     num, den = math.prod(range(p, p + shift * q, q)), math.prod(range(r, r + shift * t, t))
-    if den == 0:
-        raise HypergeometricError(f"({m.a - c + 1})_{shift} = 0 in the closed form")
+    if m.a <= 0 or den == 0:
+        _check_regime(m, shift)
     return Fraction(num * t**shift, den * q**shift)
 
 

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -243,6 +244,22 @@ class TestVerify:
         assert (report.direct, report.via_series) == (1, 1)
         assert report.via_whipple == f"error: matched {match}, expected (a, b, c) = (6, -2, 3)"
         assert not report.all_equal_one
+
+
+class TestMalformedArguments:
+    ENTRY_POINTS = [verify, lhs_sum, lambda k, m: lhs_term(k, m, 0), rewrite, sesma_ratio]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=["verify", "lhs_sum", "lhs_term", "rewrite", "sesma_ratio"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(2), "2"], ids=repr)
+    @pytest.mark.parametrize("slot", ["k", "m"])
+    def test_a_k_or_m_that_is_not_an_integer_is_a_value_error(self, entry, bad, slot):
+        k, m = (bad, 1) if slot == "k" else (3, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'k and m must be integers, got k = {k!r}, m = {m!r}')}$"):
+            entry(k, m)
+
+    def test_index_types_are_accepted(self):
+        assert verify(True, False).all_equal_one
+        assert lhs_sum(True, True) == 1
 
 
 class TestSweep:

@@ -260,14 +260,22 @@ class TestRecognize:
         ratio = TermRatio(
             num=IntPolynomial([3, -1]), den=IntPolynomial([-1, 1]), t0=Fraction(1)
         )
-        with pytest.raises(HypergeometricError, match="^denominator vanishes at n = "):
+        with pytest.raises(HypergeometricError, match="^denominator vanishes at n = 1$"):
             recognize(ratio)
 
     def test_nonterminating_denominator_pole_rejected(self):
         ratio = TermRatio(
             num=IntPolynomial([1, 1]), den=IntPolynomial([-5, 1]), t0=Fraction(1)
         )
-        with pytest.raises(HypergeometricError, match="^denominator vanishes at n = "):
+        with pytest.raises(HypergeometricError, match="^denominator vanishes at n = 5$"):
+            recognize(ratio)
+
+    def test_first_of_two_poles_is_named(self):
+        # (n+1) / (n-5)(n-2): the term never stops, and n = 2 comes first
+        ratio = TermRatio(
+            num=IntPolynomial([1, 1]), den=IntPolynomial.from_linear_factors([(-5, 1), (-2, 1)]), t0=Fraction(1)
+        )
+        with pytest.raises(HypergeometricError, match="^denominator vanishes at n = 2$"):
             recognize(ratio)
 
     @pytest.mark.parametrize("k, m", [(315, 315), (1000, 500), (3000, 1500)])

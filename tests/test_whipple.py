@@ -190,19 +190,23 @@ class TestRhsExactTerminating:
         with pytest.raises(HypergeometricError, match=r"^the series is terminating\(0\)"):
             rhs_exact_terminating(WhippleMatch(Fraction(0), Fraction(-2), Fraction(1, 2)))
 
-    def test_nonpositive_a_with_a_pole_first_is_refused(self):
-        # a - c + 1 = -1 is a pole at 1, before b = -3 stops the series
-        with pytest.raises(HypergeometricError, match=r"^the series is ill_posed\(1\)"):
-            rhs_exact_terminating(WhippleMatch(Fraction(-1, 2), Fraction(-3), Fraction(3, 2)))
+    @pytest.mark.parametrize(
+        "a, b, c, needs",
+        [
+            (Fraction(-1, 2), Fraction(-3), Fraction(3, 2), r"^the series is ill_posed\(1\), the closed form needs terminating\(3\)$"),
+            (Fraction(1), Fraction(-2), Fraction(3), r"^the series is ill_posed\(1\), the closed form needs terminating\(2\)$"),
+        ],
+        ids=["nonpositive_a", "positive_a"],
+    )
+    def test_pole_first_is_refused(self, a, b, c, needs):
+        # a - c + 1 = -1 is a pole at 1, before b stops the series; a <= 0
+        # and a > 0 get the one verdict of classify
+        with pytest.raises(HypergeometricError, match=needs):
+            rhs_exact_terminating(WhippleMatch(a, b, c))
 
     def test_not_terminating(self):
         with pytest.raises(HypergeometricError, match="^neither b = 1/2 nor c = 2 is a nonpositive integer"):
             rhs_exact_terminating(WhippleMatch(Fraction(3), Fraction(1, 2), Fraction(2)))
-
-    def test_pole_in_closed_form(self):
-        # a - c + 1 = -1 and shift 2 put a zero into the denominator product
-        with pytest.raises(HypergeometricError, match=r"^\(-1\)_2 = 0 in the closed form"):
-            rhs_exact_terminating(WhippleMatch(Fraction(1), Fraction(-2), Fraction(3)))
 
     def test_huge_shift_refused_at_once(self):
         with pytest.raises(TermBudgetExceeded):
