@@ -76,11 +76,17 @@ class IdentityReport(Record):
         return self.direct == self.via_series == self.via_whipple == 1
 
 
-def _check_km(k: int, m: int) -> None:
+def _check_integers(**named) -> None:
     try:
-        operator.index(k), operator.index(m)
+        list(map(operator.index, named.values()))
     except TypeError:
-        raise ValueError(f"k and m must be integers, got k = {k!r}, m = {m!r}") from None
+        kind = "integers" if len(named) > 1 else "an integer"
+        got = ", ".join(f"{name} = {value!r}" for name, value in named.items())
+        raise ValueError(f"{' and '.join(named)} must be {kind}, got {got}") from None
+
+
+def _check_km(k: int, m: int) -> None:
+    _check_integers(k=k, m=m)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if k < m:
@@ -94,6 +100,7 @@ def _check_km(k: int, m: int) -> None:
 def lhs_term(k: int, m: int, n: int) -> Fraction:
     """Term n of the binomial sum, for k >= m >= n >= 0."""
     _check_km(k, m)
+    _check_integers(n=n)
     if n < 0 or n > m:
         raise ValueError(f"term index must satisfy 0 <= n <= m, got n = {n}, m = {m}")
     num = math.comb(m, n) * math.comb(k + n, m) * (2 * n + k + 1)
@@ -129,20 +136,18 @@ def lhs_sum(k: int, m: int) -> Fraction:
     return Fraction(math.perm(k, m) * acc_num, math.perm(k + m + 1, m + 1) * acc_den)
 
 
+def _ratio_factors(k: int, m: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Linear factors (c0, c1), each c0 + c1*n, of P and of Q, where
+    lhs_term(k, m, n+1) / lhs_term(k, m, n) = P(n) / Q(n); Q's first factor,
+    n + 1, is the n! of the pFq normal form."""
+    return [(k + 1, 1), (k + 3, 2), (m, -1), (m + 1, 1)], [(1, 1), (k + 1, 2), (k + m + 2, 1), (k - m + 1, 1)]
+
+
 def sesma_ratio(k: int, m: int) -> TermRatio:
-    """Consecutive-term ratio of the binomial sum as integer polynomials.
-
-    Telescoping the factorials in lhs_term(k, m, n+1) / lhs_term(k, m, n)
-    gives
-
-        P(n) = (m-n)(k+n+1)(m+n+1)(2n+k+3)
-        Q(n) = (n+1)(k-m+n+1)(2n+k+1)(m+n+k+2)
-
-    with initial term t0 = lhs_term(k, m, 0).
-    """
+    """Consecutive-term ratio of the binomial sum as integer polynomials: the
+    products of :func:`_ratio_factors`, with initial term t0 = lhs_term(k, m, 0)."""
     _check_km(k, m)
-    num = IntPolynomial.from_linear_factors([(m, -1), (k + 1, 1), (m + 1, 1), (k + 3, 2)])
-    den = IntPolynomial.from_linear_factors([(1, 1), (k - m + 1, 1), (k + 1, 2), (m + k + 2, 1)])
+    num, den = (IntPolynomial.from_linear_factors(factors) for factors in _ratio_factors(k, m))
     return TermRatio(num=num, den=den, t0=lhs_term(k, m, 0))
 
 
@@ -150,17 +155,18 @@ def rewrite(k: int, m: int) -> PrefactoredSeries:
     """The binomial sum in hypergeometric normal form: prefactor times
     4F3(k+1, 1+(k+1)/2, -m, m+1; (k+1)/2, k+m+2, k-m+1; -1).
 
-    The prefactor (k+1)! k! / ((k-m)! (k+m+1)!) = C(k,m) / C(k+m+1,m)
-    equals lhs_term(k, m, 0).
+    A factor c0 + c1*n = c1 (n + c0/c1) of :func:`_ratio_factors` is the
+    parameter c0/c1, upper from P and lower from Q after its n + 1;
+    z = prod c1(P) / prod c1(Q).  The prefactor is lhs_term(k, m, 0).
     """
     _check_km(k, m)
-    prefactor = Fraction(math.comb(k, m), math.comb(k + m + 1, m))
+    upper, lower = _ratio_factors(k, m)
     series = HypSeries(
-        upper=(Fraction(k + 1), Fraction(k + 3, 2), Fraction(-m), Fraction(m + 1)),
-        lower=(Fraction(k + 1, 2), Fraction(k + m + 2), Fraction(k - m + 1)),
-        z=Fraction(-1),
+        upper=[Fraction(c0, c1) for c0, c1 in upper],
+        lower=[Fraction(c0, c1) for c0, c1 in lower[1:]],
+        z=Fraction(math.prod(c1 for _, c1 in upper), math.prod(c1 for _, c1 in lower)),
     )
-    return PrefactoredSeries(prefactor=prefactor, series=series)
+    return PrefactoredSeries(prefactor=Fraction(math.comb(k, m), math.comb(k + m + 1, m)), series=series)
 
 
 def _via_series(k: int, m: int, prefactored: PrefactoredSeries) -> Fraction:
@@ -168,9 +174,9 @@ def _via_series(k: int, m: int, prefactored: PrefactoredSeries) -> Fraction:
 
 
 def _via_whipple(k: int, m: int, prefactored: PrefactoredSeries) -> Fraction:
-    match = match_whipple(prefactored.series)
-    if match is None or (match.a, match.b, match.c) != (k + 1, -m, m + 1):
-        raise HypergeometricError(f"matched {match}, expected (a, b, c) = ({k + 1}, {-m}, {m + 1})")
+    match, expected = match_whipple(prefactored.series), (k + 1, -m, m + 1)
+    if match is None or (match.a, match.b, match.c) != expected:
+        raise HypergeometricError(f"matched {match}, expected (a, b, c) = {expected}")
     return prefactored.prefactor * rhs_exact_terminating(match)
 
 
@@ -214,6 +220,7 @@ def sweep(k_max: int, jobs: int = 1) -> list[IdentityReport]:
     :class:`TermBudgetExceeded` before any is built.  A worker process that
     ends before the sweep finishes raises :class:`HypergeometricError`.
     """
+    _check_integers(k_max=k_max, jobs=jobs)
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     if jobs < 1:

@@ -174,17 +174,22 @@ def test_whipple_closed_form_too_long_to_print_exits_zero():
 
 def test_import_closure_leaves_out_unused_stdlib_modules():
     # -I -S: no site packages and no environment, so only the package and
-    # the stdlib modules it imports end up in sys.modules
+    # the stdlib modules it imports end up in sys.modules; the process pool
+    # is loaded only by a sweep that uses it, here on two stand-in CPUs
     code = (
-        "import io, sys\n"
+        "import io, os, sys\n"
         f"sys.path.insert(0, {SRC!r})\n"
         "import hypcert, hypcert.cli\n"
         "hypcert.cli.run(['verify', '5', '3'], stdout=io.StringIO())\n"
-        "names = ('dataclasses', 'inspect', 'typing', 'hypcert.__main__')\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "names = ('dataclasses', 'inspect', 'typing', 'hypcert.__main__', *pool)\n"
         "print(' '.join(name for name in names if name in sys.modules))\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "hypcert.cli.run(['sweep', '--max-k', '1', '--jobs', '2'], stdout=io.StringIO())\n"
+        "print(' '.join(name for name in pool if name in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=TIMEOUT_S
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.splitlines() == ["", "concurrent.futures multiprocessing"]

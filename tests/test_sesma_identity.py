@@ -11,7 +11,7 @@ import pytest
 
 from hypcert import hyper_series, sesma_identity
 from hypcert.errors import TermBudgetExceeded
-from hypcert.hyper_series import eval_exact, pochhammer
+from hypcert.hyper_series import HypSeries, PrefactoredSeries, eval_exact, pochhammer
 from hypcert.sesma_identity import (
     IdentityReport,
     lhs_sum,
@@ -142,6 +142,15 @@ class TestRewrite:
         assert sorted(got.series.lower) == [Fraction(1, 2), 1, 2]
         assert eval_exact(got.series) == 1
 
+    def test_record_pins_the_parameter_order(self):
+        for k in range(31):
+            for m in range(k + 1):
+                series = HypSeries(
+                    (k + 1, Fraction(k + 3, 2), -m, m + 1), (Fraction(k + 1, 2), k + m + 2, k - m + 1), -1
+                )
+                prefactor = Fraction(math.comb(k, m), math.comb(k + m + 1, m))
+                assert rewrite(k, m) == PrefactoredSeries(prefactor, series)
+
     def test_prefactor_is_initial_term(self):
         pairs = [(k, m) for k in range(16) for m in range(k + 1)] + SPOT_PAIRS
         for k, m in pairs:
@@ -257,9 +266,31 @@ class TestMalformedArguments:
         with pytest.raises(ValueError, match=f"^{re.escape(f'k and m must be integers, got k = {k!r}, m = {m!r}')}$"):
             entry(k, m)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sweep(2.0), "k_max and jobs must be integers, got k_max = 2.0, jobs = 1"),
+            (lambda: sweep(Fraction(2)), "k_max and jobs must be integers, got k_max = Fraction(2, 1), jobs = 1"),
+            (lambda: sweep(1, jobs=1.5), "k_max and jobs must be integers, got k_max = 1, jobs = 1.5"),
+            (lambda: sweep(3, jobs=2.0), "k_max and jobs must be integers, got k_max = 3, jobs = 2.0"),
+            (lambda: lhs_term(3, 1, 0.5), "n must be an integer, got n = 0.5"),
+            (lambda: lhs_term(3, 1, 1.0), "n must be an integer, got n = 1.0"),
+        ],
+        ids=["sweep(2.0)", "sweep(Fraction(2))", "jobs=1.5", "jobs=2.0", "n=0.5", "n=1.0"],
+    )
+    def test_a_k_max_job_count_or_term_index_that_is_not_an_integer_is_a_value_error(self, monkeypatch, call, message):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built for a malformed argument")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_index_types_are_accepted(self):
         assert verify(True, False).all_equal_one
         assert lhs_sum(True, True) == 1
+        assert sweep(True, jobs=True) == sweep(1)
+        assert lhs_term(3, 1, True) == lhs_term(3, 1, 1)
 
 
 class TestSweep:
