@@ -48,10 +48,10 @@ def parse_rational(text: str, base: int = 0) -> Fraction:
     """Parse "p", "+p", "-p", or "p/q" into a canonical rational; ``base``
     is the byte offset of text in a longer value, added to a fault's offset.
     A digit run longer than Python's int-to-str digit limit is refused at
-    its start, where that limit exists."""
+    its start."""
     match = _RATIONAL.match(text)
     numerator, denominator = match.group(1, 2)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = sys.get_int_max_str_digits()
     # every fault is at or before the end of the match, which is ASCII, so
     # a character index up to it is also a byte offset
     at = match.end()

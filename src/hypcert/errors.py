@@ -2,9 +2,10 @@
 
 A ``ValueError`` means a malformed argument: a negative index, ``k < m``,
 a k, m, ``k_max``, job count or term index that is not an integer, a job
-count below 1, a tolerance that is not positive and finite, a polynomial
-coefficient that is not an integer, an exact value that is not an int or a
-Fraction, or bad rational text.  The CLI maps it to exit code 2.
+count below 1, a tolerance or log-gamma argument that is not positive and
+finite, a polynomial coefficient that is not an integer, an exact value that
+is not an int or a Fraction, or bad rational text.  The CLI maps it to exit
+code 2.
 
 A :class:`HypergeometricError` means a well-formed input with no answer: a
 series that does not terminate or diverges, a pole, a term ratio with no

@@ -15,7 +15,6 @@ Every pathway must produce exactly 1; a report records all three values.
 
 from __future__ import annotations
 
-import copyreg
 import math
 import operator
 import os
@@ -26,10 +25,6 @@ from .hyper_series import HypSeries, PrefactoredSeries, check_budget, eval_exact
 from .record import Record
 from .term_recognize import IntPolynomial, TermRatio
 from .whipple import match_whipple, rhs_exact_terminating
-
-# Python 3.10 pickles a Fraction through str(), which refuses a value past the
-# int-to-str digit limit; a sweep worker sends its k-row back as a pickle
-copyreg.pickle(Fraction, lambda v: (Fraction, (v.numerator, v.denominator)))
 
 __all__ = [
     "IdentityReport",

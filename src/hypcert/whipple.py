@@ -140,13 +140,13 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
+    """ln Gamma(x) for finite x > 0.
 
     Arguments below 0.5 are lifted through ln Gamma(x) = ln Gamma(x+1) - ln x
     so the Lanczos sum only ever runs on its well-conditioned range.
     """
-    if not x > 0:
-        raise ValueError(f"log_gamma requires a positive argument, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"log_gamma requires a positive finite argument, got {x}")
     if x < 0.5:
         return log_gamma(x + 1.0) - math.log(x)
     z = x - 1.0

@@ -145,7 +145,7 @@ def test_oversized_whipple_closed_form_exits_zero_without_hanging():
 
 
 needs_str_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit on this Python"
+    sys.get_int_max_str_digits() == 0, reason="the int-to-str digit limit is disabled"
 )
 
 
@@ -170,6 +170,22 @@ def test_whipple_closed_form_too_long_to_print_exits_zero():
     assert "too long to print" in result["exact_note"]
     assert result["numeric"] > 0
     assert (proc.returncode, proc.stdout) == run_in_process(argv)
+
+
+def test_import_leaves_global_pickling_alone():
+    # importing the package must not change how the host process pickles a
+    # Fraction; from Python 3.11 the stdlib pickles one as its two ints
+    code = (
+        "import copyreg, sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "from fractions import Fraction\n"
+        "import hypcert, hypcert.cli\n"
+        "print(Fraction in copyreg.dispatch_table)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=TIMEOUT_S
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_import_closure_leaves_out_unused_stdlib_modules():

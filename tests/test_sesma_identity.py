@@ -165,7 +165,10 @@ def reduced(series) -> tuple[Counter, Counter]:
 
 
 class TestDerivationChain:
-    @pytest.mark.parametrize("k,m", [(2, 1), (5, 1), (0, 0), (4, 2), (6, 3), (7, 3), (9, 4)])
+    # every pair with k <= 30, so every collision is covered: k = 2m merges
+    # m+1 with k-m+1; k = 2m+1 merges two pairs; m = 0 merges k+1 across the
+    # lists; all must reduce identically
+    @pytest.mark.parametrize("k,m", [(k, m) for k in range(31) for m in range(k + 1)])
     def test_recognize_matches_rewrite_reduced(self, k, m):
         recognized = recognize(sesma_ratio(k, m))
         upper, lower = reduced(rewrite(k, m).series)
@@ -173,15 +176,6 @@ class TestDerivationChain:
         assert recognized.series.z == rewrite(k, m).series.z == -1
         assert Counter(recognized.series.upper) == upper
         assert Counter(recognized.series.lower) == lower
-
-    def test_collision_cases(self):
-        # k = 2m merges m+1 with k-m+1; k = 2m+1 merges two pairs; m = 0
-        # merges k+1 across the lists; all must reduce identically
-        for k, m in [(4, 2), (8, 4), (5, 2), (9, 4), (6, 0), (1, 1), (3, 1), (1, 0)]:
-            recognized = recognize(sesma_ratio(k, m))
-            upper, lower = reduced(rewrite(k, m).series)
-            assert Counter(recognized.series.upper) == upper
-            assert Counter(recognized.series.lower) == lower
 
     def test_series_terms_match_binomial_terms(self):
         # both the closed-form rewrite and the recognized ratio, termwise

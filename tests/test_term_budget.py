@@ -40,7 +40,7 @@ RECIPROCAL = TermRatio(IntPolynomial([1, 1]), IntPolynomial([2, 1]), 1)  # t_n =
 
 LONG = 10**5000  # 16,610 bits; its 5,001 digits are past the default int-to-str limit of 4,300
 past_digit_limit = pytest.mark.skipif(
-    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 5000, reason="10**5000 prints on this Python"
+    not 0 < sys.get_int_max_str_digits() <= 5000, reason="10**5000 prints on this Python"
 )
 
 
