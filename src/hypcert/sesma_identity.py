@@ -40,9 +40,9 @@ __all__ = [
 class IdentityReport(Record):
     """Per-(k, m) record of the three evaluation pathways.
 
-    Each pathway slot holds the exact value, or the text ``error: <message>``
-    if that pathway raised.  ``all_equal_one`` is true exactly when all
-    three values are 1.
+    Each pathway slot holds the exact value, or the text
+    ``error: <message or type name>`` if that pathway raised.
+    ``all_equal_one`` is true exactly when all three values are 1.
     """
 
     __slots__ = ("k", "m", "direct", "via_series", "via_whipple")
@@ -141,9 +141,9 @@ def _ratio_factors(k: int, m: int) -> tuple[list[tuple[int, int]], list[tuple[in
 def sesma_ratio(k: int, m: int) -> TermRatio:
     """Consecutive-term ratio of the binomial sum as integer polynomials: the
     products of :func:`_ratio_factors`, with initial term t0 = lhs_term(k, m, 0)."""
-    _check_km(k, m)
+    t0 = lhs_term(k, m, 0)
     num, den = (IntPolynomial.from_linear_factors(factors) for factors in _ratio_factors(k, m))
-    return TermRatio(num=num, den=den, t0=lhs_term(k, m, 0))
+    return TermRatio(num=num, den=den, t0=t0)
 
 
 def rewrite(k: int, m: int) -> PrefactoredSeries:
@@ -176,11 +176,11 @@ def _via_whipple(k: int, m: int, prefactored: PrefactoredSeries) -> Fraction:
 
 
 def _value_or_error(step, *args):
-    """step(*args), or the text ``error: <message>`` if the step raised."""
+    """step(*args), or the text ``error: <message or type name>`` if the step raised."""
     try:
         return step(*args)
     except Exception as exc:
-        return f"error: {exc}"
+        return f"error: {str(exc) or type(exc).__name__}"
 
 
 def verify(k: int, m: int) -> IdentityReport:

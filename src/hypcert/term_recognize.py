@@ -167,13 +167,11 @@ def _split(p: IntPolynomial) -> tuple[Counter, list[int]]:
         roots[Fraction(0)] = zeros
     coeffs = list(p.coefficients[zeros:])
     degree = len(coeffs) - 1
-    if degree == 0:
-        return roots, coeffs
     content = math.gcd(*coeffs)
     primitive = [c // content for c in coeffs]
     lead = primitive[-1]
     lead_bits = (abs(lead) - 1).bit_length()  # |lead| <= 2**lead_bits; 0 for lead = ±1
-    bits = max(abs(c).bit_length() + (degree - 1 - i) * lead_bits for i, c in enumerate(primitive[:-1]) if c)
+    bits = max((c.bit_length() + (degree - 1 - i) * lead_bits for i, c in enumerate(primitive[:-1]) if c), default=0)
     bound = 1 << bits
     check_budget(degree**2 * bound.bit_length(), "root isolation steps")
     q = IntPolynomial([c * lead ** (degree - 1 - i) for i, c in enumerate(primitive[:-1])] + [1])

@@ -348,11 +348,16 @@ class TestSweepCommand:
         assert serial == parallel
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failing_pair_is_a_failing_row(self, monkeypatch, jobs):
+    @pytest.mark.parametrize(
+        "exc, cell",
+        [(ArithmeticError("injected"), "error: injected"), (ArithmeticError(), "error: ArithmeticError")],
+        ids=["message", "no message"],
+    )
+    def test_failing_pair_is_a_failing_row(self, monkeypatch, jobs, exc, cell):
         def fault():
-            raise ArithmeticError("injected")
+            raise exc
 
-        assert sweep_with_fault_at_3_1(monkeypatch, jobs, fault) == "error: injected"
+        assert sweep_with_fault_at_3_1(monkeypatch, jobs, fault) == cell
 
     @needs_str_digit_limit
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -12,8 +12,8 @@ import pytest
 import hypcert
 from hypcert import hyper_series
 from hypcert.errors import TermBudgetExceeded
-from hypcert.hyper_series import HypSeries, eval_exact, eval_numeric
-from hypcert.sesma_identity import sweep, verify
+from hypcert.hyper_series import HypSeries, PrefactoredSeries, eval_exact, eval_numeric
+from hypcert.sesma_identity import lhs_sum, lhs_term, rewrite, sesma_ratio, sweep, verify
 from hypcert.term_recognize import IntPolynomial, TermRatio, recognize, term_at
 from hypcert.whipple import WhippleMatch, rhs_exact_terminating
 
@@ -37,6 +37,8 @@ def wide_lead_quadratic(c: int) -> TermRatio:
 
 
 RECIPROCAL = TermRatio(IntPolynomial([1, 1]), IntPolynomial([2, 1]), 1)  # t_n = 1/(n+1)
+CONSTANT = TermRatio(IntPolynomial([2]), IntPolynomial([3]), 1)  # t_n = (2/3)**n: degree 0 on both sides
+ONE_F_ZERO = PrefactoredSeries(prefactor=1, series=HypSeries([1], [], Fraction(2, 3)))
 
 LONG = 10**5000  # 16,610 bits; its 5,001 digits are past the default int-to-str limit of 4,300
 past_digit_limit = pytest.mark.skipif(
@@ -47,6 +49,15 @@ past_digit_limit = pytest.mark.skipif(
 def too_long_to_print(call, expected: str, id: str):
     """A refusal whose count is past the digit limit, so it is named by its bit length."""
     return pytest.param(5, call, expected, id=id, marks=past_digit_limit)
+
+
+def km_refusals(name: str, f):
+    """verify's refusals of m, then k, over the budget, for another (k, m) entry point f."""
+    return [
+        pytest.param(3, lambda: f(4, 4), "m = 4", id=f"{name}: m refuses"),
+        pytest.param(5, lambda: f(6, 3), "k = 6", id=f"{name}: k refuses"),
+        pytest.param(5, lambda: f(7, 6), "m = 6", id=f"{name}: m is checked before k"),
+    ]
 
 
 # (budget, call, expected): expected is the value the call returns under
@@ -62,6 +73,10 @@ BOUNDARY = [
     pytest.param(5, lambda: verify(5, 3).all_equal_one, True, id="k admits"),
     pytest.param(5, lambda: verify(6, 3).all_equal_one, "k = 6", id="k refuses"),
     pytest.param(5, lambda: verify(7, 6).all_equal_one, "m = 6", id="m is checked before k"),
+    *km_refusals("lhs_sum", lhs_sum),
+    *km_refusals("lhs_term", lambda k, m: lhs_term(k, m, 0)),
+    *km_refusals("sesma_ratio", sesma_ratio),
+    *km_refusals("rewrite", rewrite),
     pytest.param(10, lambda: len(sweep(3)), 10, id="sweep admits"),
     pytest.param(9, lambda: len(sweep(3)), "pair count = 10", id="sweep refuses"),
     # the terminating c is swapped into the b slot
@@ -74,6 +89,8 @@ BOUNDARY = [
     # 4 * bits(2**max(bits(c) + 1, bits(c + 2))) is 4 * 8 = 32, then 4 * 9 = 36
     pytest.param(32, lambda: recognize(wide_lead_quadratic(63)).series.upper, (Fraction(63, 2),), id="root isolation admits, |lead| > 1"),
     pytest.param(32, lambda: recognize(wide_lead_quadratic(65)), "root isolation steps = 36", id="root isolation refuses, |lead| > 1"),
+    # a constant has no root to isolate: 1F0(1; ; 2/3), with the installed (n+1)
+    pytest.param(0, lambda: recognize(CONSTANT), ONE_F_ZERO, id="a constant costs no root isolation step"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 1), Fraction(1, 2), id="term_at admits"),
     pytest.param(1, lambda: term_at(RECIPROCAL, 2), "term index = 2", id="term_at refuses"),
     too_long_to_print(lambda: eval_exact(HypSeries([-LONG], [], 1)), "termination index of 16610 bits", "eval_exact, long"),
