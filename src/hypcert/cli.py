@@ -14,7 +14,6 @@ included); the README's "Errors" section gives the policy.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -219,11 +218,22 @@ def _cmd_sweep(args, inputs):
 _SIGNED_VALUE = re.compile(r"^-\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, out, err, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._out, self._err = out, err
+
+    # all of argparse's text passes here; help and version name sys.stdout
+    def _print_message(self, message, file=None):
+        super()._print_message(message, self._out if file is sys.stdout else self._err)
+
+
+def build_parser(out, err) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="hypcert",
-        description="Exact evaluation, recognition, and certification of "
-        "terminating hypergeometric series.",
+        description="Exact evaluation, recognition, and certification of terminating hypergeometric series.",
+        out=out,
+        err=err,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument(
@@ -235,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help, func, series=False):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, out=out, err=err)
         # the same flag is accepted after the subcommand; SUPPRESS keeps an
         # unset subcommand-level flag from clobbering the global value
         p.add_argument("--format", choices=("table", "json", "csv"), default=argparse.SUPPRESS, help=argparse.SUPPRESS)
@@ -272,21 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
-    """Parse argv, dispatch, and emit one document; returns the exit code."""
+    """Parse argv, dispatch, and emit one document; returns the exit code.
+    All text goes to stdout and stderr (default sys.stdout and sys.stderr);
+    run never rebinds sys.stdout or sys.stderr, so threads may call it at once."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    parser = build_parser(out, err)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     inputs: dict = {}
     try:
         exit_code, results, summary = args.func(args, inputs)
     except ValueError as exc:  # ParseError included
-        err.write(f"error: {exc}\n")
-        parser.print_usage(err)
+        err.write(f"error: {exc}\n{parser.format_usage()}")
         return 2
     except HypergeometricError as exc:
         exit_code, results, summary = 1, [], {"status": f"error: {exc}"}

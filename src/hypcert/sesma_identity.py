@@ -154,14 +154,14 @@ def rewrite(k: int, m: int) -> PrefactoredSeries:
     parameter c0/c1, upper from P and lower from Q after its n + 1;
     z = prod c1(P) / prod c1(Q).  The prefactor is lhs_term(k, m, 0).
     """
-    _check_km(k, m)
+    t0 = lhs_term(k, m, 0)
     upper, lower = _ratio_factors(k, m)
     series = HypSeries(
         upper=[Fraction(c0, c1) for c0, c1 in upper],
         lower=[Fraction(c0, c1) for c0, c1 in lower[1:]],
         z=Fraction(math.prod(c1 for _, c1 in upper), math.prod(c1 for _, c1 in lower)),
     )
-    return PrefactoredSeries(prefactor=Fraction(math.comb(k, m), math.comb(k + m + 1, m)), series=series)
+    return PrefactoredSeries(prefactor=t0, series=series)
 
 
 def _via_series(k: int, m: int, prefactored: PrefactoredSeries) -> Fraction:

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -543,3 +544,55 @@ class TestUsageErrors:
         code_after, out_after, _ = invoke(["verify", "2", "1", "--format", "json"])
         assert code_before == code_after == 0
         assert out_before == out_after
+
+
+class StreamProbe(io.StringIO):
+    """A buffer that records, at each write, whether sys.stdout and
+    sys.stderr are still the objects they were when it was made."""
+
+    def __init__(self):
+        super().__init__()
+        self.process_streams = (sys.stdout, sys.stderr)
+        self.unchanged = []
+
+    def write(self, text):
+        self.unchanged.append((sys.stdout is self.process_streams[0], sys.stderr is self.process_streams[1]))
+        return super().write(text)
+
+
+ARGPARSE_TEXT = [
+    (["--help"], "stdout", "usage: hypcert [-h]"),
+    (["--version"], "stdout", f"hypcert {__version__}\n"),
+    (["verify", "x", "1"], "stderr", "usage: hypcert verify"),
+]
+
+
+class TestProcessStreams:
+    @pytest.mark.parametrize("argv, slot, text", ARGPARSE_TEXT, ids=[" ".join(row[0]) for row in ARGPARSE_TEXT])
+    def test_run_never_rebinds_the_process_streams(self, argv, slot, text):
+        probe = StreamProbe()
+        run(argv, **{slot: probe})
+        assert probe.unchanged and set(probe.unchanged) == {(True, True)}
+        assert probe.getvalue().startswith(text)
+
+    def test_concurrent_calls_keep_their_own_output(self, monkeypatch):
+        # a call that wrote through the process streams would put its text in
+        # a sentinel, or in the buffers of a call running beside it
+        argvs = [argv for argv, _, _ in ARGPARSE_TEXT]
+        expected = [invoke(argv) for argv in argvs]
+        calls = 100
+        sentinels = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", sentinels[0])
+        monkeypatch.setattr(sys, "stderr", sentinels[1])
+        results = [None] * len(argvs)
+
+        def worker(i):
+            results[i] = [invoke(argvs[i]) for _ in range(calls)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(argvs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [[want] * calls for want in expected]
+        assert (sentinels[0].getvalue(), sentinels[1].getvalue()) == ("", "")

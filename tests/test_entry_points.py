@@ -16,6 +16,13 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(hypcert.__file__)))
 TIMEOUT_S = 60
 
 
+@pytest.fixture(autouse=True)
+def fixed_width(monkeypatch):
+    # argparse wraps its text to $COLUMNS; run_module passes os.environ on,
+    # so this fixes the width on both sides of a comparison
+    monkeypatch.setenv("COLUMNS", "80")
+
+
 def run_module(module, argv):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
@@ -27,9 +34,9 @@ def run_module(module, argv):
 
 
 def run_in_process(argv):
-    out = io.StringIO()
-    code = run(argv, stdout=out, stderr=io.StringIO())
-    return code, out.getvalue().encode("utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, stdout=out, stderr=err)
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("module", ["hypcert", "hypcert.cli"])
@@ -39,11 +46,14 @@ def run_in_process(argv):
         ["sweep", "--max-k", "3"],
         ["sweep", "--max-k", "30", "--format", "json"],
         ["verify", "5", "3", "--format", "json"],
+        ["--help"],
+        ["--version"],
+        ["verify", "x", "1"],
     ],
 )
 def test_python_dash_m_matches_run(module, argv):
     proc = run_module(module, argv)
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 @pytest.mark.parametrize("argv", [["verify", "2", "1"], ["sweep", "--max-k", "60", "--format", "json"]])
@@ -76,7 +86,7 @@ def test_oversized_exact_sum_exits_one_without_hanging():
     proc = run_module("hypcert", argv)
     assert proc.returncode == 1
     assert b"over the budget" in proc.stdout
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 def test_oversized_verify_exits_one_without_hanging():
@@ -84,7 +94,7 @@ def test_oversized_verify_exits_one_without_hanging():
     proc = run_module("hypcert", argv)
     assert proc.returncode == 1
     assert b"status: error: m = 500000000 is over the budget of 100000 steps" in proc.stdout
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 def test_verify_with_a_huge_k_exits_one_without_hanging():
@@ -92,7 +102,7 @@ def test_verify_with_a_huge_k_exits_one_without_hanging():
     proc = run_module("hypcert", argv)
     assert proc.returncode == 1
     assert b"is over the budget of 100000" in proc.stdout
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 @pytest.mark.parametrize("constant", ["10000000000000000", "100000000000000"])
@@ -101,7 +111,7 @@ def test_recognize_with_a_huge_constant_finds_its_parameter(constant):
     proc = run_module("hypcert", argv)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"][0]["upper"] == [constant]
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 def test_recognize_with_huge_coefficients_and_no_rational_root_exits_one():
@@ -109,7 +119,7 @@ def test_recognize_with_huge_coefficients_and_no_rational_root_exits_one():
     proc = run_module("hypcert", argv)
     assert proc.returncode == 1
     assert proc.stdout == b"status: error: numerator factor 735134400,0,735134400 has no rational root and does not cancel\n"
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 def test_recognize_with_a_long_wide_lead_polynomial_is_refused_before_any_power():
@@ -119,7 +129,7 @@ def test_recognize_with_a_long_wide_lead_polynomial_is_refused_before_any_power(
     proc = run_module("hypcert", argv)
     assert proc.returncode == 1
     assert b"status: error: root isolation steps = 114043606803434 is over the budget" in proc.stdout
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 def test_numeric_sum_with_a_parameter_past_the_float_range_exits_one():
@@ -129,7 +139,7 @@ def test_numeric_sum_with_a_parameter_past_the_float_range_exits_one():
     doc = json.loads(proc.stdout)
     assert doc["results"][0]["value"] is None
     assert doc["summary"]["status"] == "error: a parameter or z is past the float range of the numeric path"
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 def test_oversized_whipple_closed_form_exits_zero_without_hanging():
@@ -141,7 +151,7 @@ def test_oversized_whipple_closed_form_exits_zero_without_hanging():
     assert result["exact"] is None
     assert "over the budget" in result["exact_note"]
     assert result["numeric"] > 0
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 needs_str_digit_limit = pytest.mark.skipif(
@@ -157,7 +167,7 @@ def test_exact_sum_too_long_to_print_exits_one():
     doc = json.loads(proc.stdout)
     assert doc["results"][0]["value"] is None
     assert doc["summary"]["status"].startswith("error: exact value too long to print")
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 @needs_str_digit_limit
@@ -169,7 +179,7 @@ def test_whipple_closed_form_too_long_to_print_exits_zero():
     assert result["exact"] is None
     assert "too long to print" in result["exact_note"]
     assert result["numeric"] > 0
-    assert (proc.returncode, proc.stdout) == run_in_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_in_process(argv)
 
 
 def test_import_leaves_global_pickling_alone():
